@@ -1,5 +1,6 @@
 //! Benchmarks of the tensor kernels that dominate runtime: matmul variants,
-//! im2col-based convolution (forward and backward), pooling and norms.
+//! the direct convolution at the shapes the served models run, the
+//! im2col-based conv backward pass, pooling and norms.
 
 use adv_bench::image_batch;
 use adv_tensor::ops::{
@@ -26,20 +27,34 @@ fn bench_matmul(c: &mut Criterion) {
     g.finish();
 }
 
+/// Forward conv at batch 32 for one `(in, out, side)` served shape.
+fn bench_conv_forward(c: &mut Criterion, group: &str, (cin, cout, side): (usize, usize, usize)) {
+    let x = image_batch(32, cin, side);
+    let spec = Conv2dSpec::same(cin, cout, 3);
+    let w = Tensor::from_fn(Shape::new(vec![cout, cin, 3, 3]), |i| {
+        (i % 5) as f32 * 0.1 - 0.2
+    });
+    let b = Tensor::zeros(Shape::vector(cout));
+    let mut g = c.benchmark_group(group);
+    g.bench_function("forward", |bench| {
+        bench.iter(|| conv2d(black_box(&x), &w, &b, &spec).expect("conv2d failed"))
+    });
+    g.finish();
+}
+
 fn bench_conv(c: &mut Criterion) {
+    // The victim classifier's two convs and the auto-encoders' 3→3 conv.
+    bench_conv_forward(c, "conv2d_1to8_28x28_b32", (1, 8, 28));
+    bench_conv_forward(c, "conv2d_8to16_14x14_b32", (8, 16, 14));
+    bench_conv_forward(c, "conv2d_3to3_28x28_b32", (3, 3, 28));
+
     let x = image_batch(8, 1, 28);
     let spec = Conv2dSpec::same(1, 8, 3);
     let w = Tensor::from_fn(Shape::new(vec![8, 1, 3, 3]), |i| (i % 5) as f32 * 0.1 - 0.2);
-    let b = Tensor::zeros(Shape::vector(8));
-    let y = conv2d(&x, &w, &b, &spec).expect("conv2d failed");
-    let dy = Tensor::ones(y.shape().clone());
-
+    let dy = Tensor::ones(Shape::nchw(8, 8, 28, 28));
     let mut g = c.benchmark_group("conv2d_28x28_b8");
     g.bench_function("im2col", |bench| {
         bench.iter(|| im2col(black_box(&x), &spec).expect("im2col failed"))
-    });
-    g.bench_function("forward", |bench| {
-        bench.iter(|| conv2d(black_box(&x), &w, &b, &spec).expect("conv2d failed"))
     });
     g.bench_function("backward", |bench| {
         bench.iter(|| {

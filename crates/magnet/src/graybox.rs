@@ -49,8 +49,8 @@ impl Differentiable for ReformedModel {
     }
 
     fn backward_input(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {
-        let d_reformed = self.classifier.backward(grad_output)?;
-        self.reformer.network_mut().backward(&d_reformed)
+        let d_reformed = self.classifier.backward_input(grad_output)?;
+        self.reformer.network_mut().backward_input(&d_reformed)
     }
 }
 
@@ -106,6 +106,18 @@ mod tests {
                 (fd - got).abs() < 0.05 * (1.0 + fd.abs()),
                 "dx[{i}]: fd {fd} vs analytic {got}"
             );
+        }
+    }
+
+    #[test]
+    fn backward_input_leaves_parameter_gradients_untouched() {
+        let mut m = model();
+        let x = Tensor::from_fn(Shape::nchw(2, 1, 8, 8), |i| (i % 13) as f32 / 13.0);
+        let y = m.forward(&x).unwrap();
+        m.backward_input(&Tensor::ones(y.shape().clone())).unwrap();
+        let reformer = m.reformer().network().params();
+        for p in reformer.into_iter().chain(m.classifier().params()) {
+            assert!(p.grad.as_slice().iter().all(|&g| g == 0.0));
         }
     }
 

@@ -85,6 +85,17 @@ pub trait Layer: fmt::Debug + Send + Sync {
     /// accumulates parameter gradients.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
 
+    /// Back-propagates `grad_out` like [`backward`](Layer::backward) but
+    /// returns only `∂L/∂input`, bit-identical to `backward`'s: parameter
+    /// gradients are neither computed nor accumulated. This is the pass
+    /// attacks need, which differentiate with respect to the image alone.
+    ///
+    /// The default delegates to `backward`, which is exact for layers
+    /// without parameters.
+    fn backward_input(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        self.backward(grad_out)
+    }
+
     /// Immutable views of the layer's learnable parameters (empty for
     /// parameter-free layers).
     fn params(&self) -> Vec<&Param> {

@@ -1,6 +1,6 @@
 use crate::layer::{Layer, Mode, Param};
 use crate::{NnError, Result};
-use adv_tensor::ops::{conv2d, conv2d_backward, Conv2dSpec};
+use adv_tensor::ops::{conv2d, conv2d_backward, conv2d_backward_input, Conv2dSpec};
 use adv_tensor::{init, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,6 +42,12 @@ impl Conv2d {
     pub fn spec(&self) -> &Conv2dSpec {
         &self.spec
     }
+
+    fn cached_input(&self) -> Result<&Tensor> {
+        self.cache
+            .as_ref()
+            .ok_or(NnError::NoForwardCache { layer: "conv2d" })
+    }
 }
 
 impl Layer for Conv2d {
@@ -61,14 +67,21 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let x = self
-            .cache
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "conv2d" })?;
+        let x = self.cached_input()?;
         let (dx, dw, db) = conv2d_backward(x, &self.weight.value, grad_out, &self.spec)?;
         self.weight.grad.add_assign(&dw)?;
         self.bias.grad.add_assign(&db)?;
         Ok(dx)
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        let x = self.cached_input()?;
+        Ok(conv2d_backward_input(
+            x,
+            &self.weight.value,
+            grad_out,
+            &self.spec,
+        )?)
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -53,6 +53,12 @@ impl Dense {
         }
         Ok(y)
     }
+
+    fn cached_input(&self) -> Result<&Tensor> {
+        self.cache
+            .as_ref()
+            .ok_or(NnError::NoForwardCache { layer: "dense" })
+    }
 }
 
 impl Layer for Dense {
@@ -67,10 +73,7 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let x = self
-            .cache
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "dense" })?;
+        let x = self.cached_input()?;
         // dW = xᵀ·dy
         let dw = matmul_at_b(x, grad_out)?;
         self.weight.grad.add_assign(&dw)?;
@@ -81,6 +84,11 @@ impl Layer for Dense {
             }
         }
         // dx = dy·Wᵀ
+        Ok(matmul_a_bt(grad_out, &self.weight.value)?)
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        self.cached_input()?;
         Ok(matmul_a_bt(grad_out, &self.weight.value)?)
     }
 

@@ -85,7 +85,8 @@ pub trait Differentiable: Send {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor>;
 
     /// Back-propagates `grad_output` through the most recent [`forward`]
-    /// call, returning `∂loss/∂input`.
+    /// call, returning `∂loss/∂input`. Parameter gradients are left
+    /// untouched.
     ///
     /// # Errors
     ///
@@ -292,8 +293,15 @@ impl Differentiable for Sequential {
         Sequential::forward(self, input, Mode::Eval)
     }
 
+    /// Chains [`Layer::backward_input`] from the output back to the input:
+    /// the same `∂loss/∂input` as [`Sequential::backward`], bit for bit,
+    /// without computing or accumulating any parameter gradient.
     fn backward_input(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        self.backward(grad_output)
+        let mut g = grad_output.clone();
+        for layer in self.layers.iter_mut().rev() {
+            g = layer.backward_input(&g)?;
+        }
+        Ok(g)
     }
 }
 

@@ -6,7 +6,7 @@
 //! differences for every architecture family the paper uses (classifier CNNs
 //! with ReLU + max-pool, and sigmoid auto-encoders with avg-pool + upsample).
 
-use adv_nn::{Activation, LayerSpec, Mode, Sequential};
+use adv_nn::{Activation, Differentiable, LayerSpec, Mode, Sequential};
 use adv_tensor::ops::Conv2dSpec;
 use adv_tensor::{Shape, Tensor};
 
@@ -221,5 +221,55 @@ fn cross_entropy_through_network_matches_finite_differences() {
             (fd - got).abs() < 0.05 * (1.0 + fd.abs()),
             "dx[{i}]: finite-diff {fd} vs analytic {got}"
         );
+    }
+}
+
+#[test]
+fn backward_input_matches_backward_and_leaves_grads_untouched() {
+    // The attack path: every parametric layer kind (conv, dense) plus the
+    // parameter-free ones between them, as in the victim classifier.
+    let specs = [
+        LayerSpec::Conv2d(Conv2dSpec::same(1, 3, 3)),
+        LayerSpec::Activation(Activation::Relu),
+        LayerSpec::MaxPool2d { k: 2 },
+        LayerSpec::Conv2d(Conv2dSpec::same(3, 4, 3)),
+        LayerSpec::Activation(Activation::Sigmoid),
+        LayerSpec::Flatten,
+        LayerSpec::Dense {
+            inputs: 4 * 4 * 4,
+            outputs: 6,
+        },
+        LayerSpec::Activation(Activation::Tanh),
+        LayerSpec::Dense {
+            inputs: 6,
+            outputs: 3,
+        },
+    ];
+    let x = Tensor::from_fn(Shape::nchw(2, 1, 8, 8), |i| {
+        ((i as u64).wrapping_mul(2_654_435_761) % 97) as f32 / 97.0
+    });
+    let dy = Tensor::from_fn(Shape::matrix(2, 3), |i| i as f32 * 0.3 - 0.7);
+
+    let mut full = Sequential::from_specs(&specs, 31).unwrap();
+    full.forward(&x, Mode::Eval).unwrap();
+    let dx_full = full.backward(&dy).unwrap();
+
+    let mut attack = Sequential::from_specs(&specs, 31).unwrap();
+    // Stale gradients must survive untouched, not just stay zero.
+    for (i, p) in attack.params_mut().into_iter().enumerate() {
+        p.grad.fill(i as f32 + 0.5);
+    }
+    let before: Vec<Tensor> = attack.params().iter().map(|p| p.grad.clone()).collect();
+    Differentiable::forward(&mut attack, &x).unwrap();
+    let dx = attack.backward_input(&dy).unwrap();
+
+    assert_eq!(dx.shape(), dx_full.shape());
+    assert!(dx
+        .as_slice()
+        .iter()
+        .zip(dx_full.as_slice())
+        .all(|(a, b)| a.to_bits() == b.to_bits()));
+    for (p, g) in attack.params().iter().zip(&before) {
+        assert_eq!(&p.grad, g);
     }
 }

@@ -32,15 +32,15 @@ pub enum KernelKind {
     MatMul = 0,
     /// `C = Aᵀ·B` (weight-gradient product).
     MatMulAtB = 1,
-    /// `C = A·Bᵀ` (input-gradient product, conv forward inner product).
+    /// `C = A·Bᵀ` (dense-layer input-gradient product).
     MatMulABt = 2,
-    /// Convolution patch extraction.
+    /// Convolution patch extraction (conv backward).
     Im2col = 3,
     /// Patch scatter-accumulate (conv backward).
     Col2im = 4,
-    /// Full conv2d forward (contains im2col + matmul children).
+    /// Full conv2d forward: a direct convolution with no child kernels.
     Conv2d = 5,
-    /// Full conv2d backward.
+    /// Full conv2d backward (contains im2col + matmul + col2im children).
     Conv2dBackward = 6,
     /// Row-wise softmax (with or without temperature).
     Softmax = 7,
@@ -56,10 +56,12 @@ pub enum KernelKind {
     DetectorDistance = 12,
     /// Jensen–Shannon divergence rows (JSD detectors).
     Jsd = 13,
+    /// Average/max pooling and nearest upsampling, forward and backward.
+    Pool = 14,
 }
 
 /// Number of kernel kinds ([`KernelKind::ALL`]'s length).
-pub const KERNEL_KINDS: usize = 14;
+pub const KERNEL_KINDS: usize = 15;
 
 impl KernelKind {
     /// Every kind, in slot order.
@@ -78,6 +80,7 @@ impl KernelKind {
         KernelKind::Memcpy,
         KernelKind::DetectorDistance,
         KernelKind::Jsd,
+        KernelKind::Pool,
     ];
 
     /// Stable display name (also the collapsed-stack frame name).
@@ -97,6 +100,7 @@ impl KernelKind {
             KernelKind::Memcpy => "memcpy",
             KernelKind::DetectorDistance => "detector_distance",
             KernelKind::Jsd => "jsd",
+            KernelKind::Pool => "pool",
         }
     }
 }
@@ -121,6 +125,16 @@ impl Work {
             elems,
             flops,
             bytes,
+        }
+    }
+
+    /// A window kernel reading `input` elements once and writing `output`
+    /// (pooling, upsampling and their adjoints): one FLOP per input read.
+    pub fn window(input: usize, output: usize) -> Work {
+        Work {
+            elems: output as u64,
+            flops: input as u64,
+            bytes: 4 * (input + output) as u64,
         }
     }
 

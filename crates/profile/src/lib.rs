@@ -6,12 +6,13 @@
 //! same deployment contract as `adv-obs`. Three pieces:
 //!
 //! * [`kernel`] — **kernel accounting**: [`KernelScope`] is an RAII guard
-//!   wrapped around every hot kernel in `adv-tensor` (matmul, im2col/conv,
-//!   elementwise, reductions), `adv-nn` (softmax) and `adv-magnet`
-//!   (detector-distance loops, JSD). Each scope records wall time, call
-//!   count, element count and the kernel's declared FLOP/byte volume, so a
-//!   profile reports *achieved GFLOP/s per kernel* — the attribution the
-//!   SIMD roadmap item needs before and after vectorizing. Scopes nest;
+//!   wrapped around every hot kernel in `adv-tensor` (matmul, direct conv,
+//!   the im2col/col2im of the conv backward pass, pooling, elementwise,
+//!   reductions), `adv-nn` (softmax) and `adv-magnet` (detector-distance
+//!   loops, JSD). Each scope records wall time, call count, element count
+//!   and the kernel's declared FLOP/byte volume, so a profile reports
+//!   *achieved GFLOP/s per kernel* — the attribution the SIMD roadmap item
+//!   needs before and after vectorizing. Scopes nest;
 //!   self time is total time minus time inside child scopes, so every
 //!   nanosecond lands in exactly one kernel. Aggregation is per-thread
 //!   with drop-not-block flushing into process-wide atomics, the same

@@ -1,11 +1,19 @@
-//! 2-D convolution via `im2col` + matrix multiplication, with the exact
-//! backward pass (input, weight and bias gradients).
+//! 2-D convolution: a direct forward pass and the exact backward pass (input,
+//! weight and bias gradients).
 //!
 //! Tensors use NCHW layout. Weights are `[out_channels, in_channels, kh, kw]`.
-//! `im2col` arranges every receptive field as a row so the convolution becomes
-//! one large matrix product — the standard CPU formulation.
+//!
+//! The forward pass is a direct convolution over a zero-padded copy of each
+//! input image. Every output starts at `0.0`, receives its taps in
+//! `(c, kh, kw)` order — padding taps included, as zeros — and then its bias,
+//! so its bits match the `im2col` + [`matmul_a_bt`](crate::ops::matmul_a_bt)
+//! formulation exactly while never materializing the patch matrix.
+//!
+//! The backward pass still uses `im2col` (each receptive field as a row) and
+//! matrix products: dW is a reduction over pixels whose summation order a
+//! direct rewrite would change.
 
-use crate::ops::matmul::{matmul_a_bt, matmul_at_b};
+use crate::ops::matmul::{matmul, matmul_at_b};
 use crate::{Result, Shape, Tensor, TensorError};
 use adv_profile::{KernelKind, KernelScope, Work};
 use serde::{Deserialize, Serialize};
@@ -234,7 +242,9 @@ fn check_weight(weight: &Tensor, spec: &Conv2dSpec) -> Result<()> {
 /// Forward 2-D convolution: `y = x ⊛ weight + bias`.
 ///
 /// `input` is `[n, c, h, w]`, `weight` is `[oc, c, kh, kw]`, `bias` is `[oc]`,
-/// and the result is `[n, oc, ho, wo]`.
+/// and the result is `[n, oc, ho, wo]`. Bit-identical to [`im2col`] followed
+/// by [`matmul_a_bt`](crate::ops::matmul_a_bt) against the flattened weights
+/// and a per-channel bias add.
 ///
 /// # Errors
 ///
@@ -249,29 +259,122 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Conv2dSpec)
     }
     let (n, h, w) = spec.validate_input(input)?;
     let (ho, wo) = spec.output_hw(h, w);
-    let _prof = KernelScope::enter(KernelKind::Conv2d, || {
-        // The im2col + matmul children account their own volumes; the
-        // conv2d frame itself owns the bias repack.
-        Work::map(n * spec.out_channels * ho * wo)
-    });
-    let cols = im2col(input, spec)?;
-    let wmat = weight.reshape(Shape::matrix(spec.out_channels, spec.patch_len()))?;
-    // rows: [n·ho·wo, oc]
-    let rows = matmul_a_bt(&cols, &wmat)?;
-    let rv = rows.as_slice();
+    let (c, oc, s) = (spec.in_channels, spec.out_channels, spec.stride);
+    let (hp, wp) = (h + 2 * spec.padding, w + 2 * spec.padding);
+    let x = input.as_slice();
     let bv = bias.as_slice();
-    let oc = spec.out_channels;
-    let hw = ho * wo;
-    let mut y = vec![0.0f32; n * oc * hw];
-    for b in 0..n {
-        for p in 0..hw {
-            let row = &rv[(b * hw + p) * oc..(b * hw + p + 1) * oc];
-            for (ch, &v) in row.iter().enumerate() {
-                y[(b * oc + ch) * hw + p] = v + bv[ch];
+    let taps = spec.patch_len();
+    let mut y = vec![0.0f32; n * oc * ho * wo];
+    if y.is_empty() || x.is_empty() || taps == 0 {
+        // A zero-sized dimension somewhere: no tap reaches any output, so
+        // each one (if there are any) is the empty sum `0 + bias`.
+        for (yo, &bias) in y.chunks_exact_mut(ho * wo).zip(bv.iter().cycle()) {
+            yo.fill(0.0 + bias);
+        }
+        return Tensor::from_vec(y, Shape::nchw(n, oc, ho, wo));
+    }
+    // Sums are taken at every stride-1 position of the padded grid
+    // (`i = row·wp + col`), so each tap reads a shifted contiguous slice of
+    // the padded image; a strided conv keeps every `s`-th row and column.
+    let mut padded = vec![0.0f32; c * hp * wp];
+    let mut acc = vec![0.0f32; (hp - spec.kh) * wp + (wp - spec.kw) + 1];
+    let _prof = KernelScope::enter(KernelKind::Conv2d, || {
+        let outputs = (n * oc * ho * wo) as u64;
+        Work::custom(
+            outputs,
+            2 * outputs * taps as u64,
+            4 * (x.len() + weight.len() + oc) as u64 + 4 * outputs,
+        )
+    });
+    for (xb, yb) in x
+        .chunks_exact(c * h * w)
+        .zip(y.chunks_exact_mut(oc * ho * wo))
+    {
+        pad_image(xb, &mut padded, h, w, spec.padding);
+        for ((yo, wk), &bias) in yb
+            .chunks_exact_mut(ho * wo)
+            .zip(weight.as_slice().chunks_exact(taps))
+            .zip(bv)
+        {
+            acc.fill(0.0);
+            for (xc, wc) in padded
+                .chunks_exact(hp * wp)
+                .zip(wk.chunks_exact(spec.kh * spec.kw))
+            {
+                if spec.kh == 3 && spec.kw == 3 {
+                    taps_3x3(&mut acc, xc, wp, wc);
+                } else {
+                    taps_shifted(&mut acc, xc, wp, spec.kw, wc);
+                }
+            }
+            for (yrow, arow) in yo.chunks_exact_mut(wo).zip(acc.chunks(s * wp)) {
+                if s == 1 {
+                    for (v, &a) in yrow.iter_mut().zip(arow) {
+                        *v = a + bias;
+                    }
+                } else {
+                    for (v, &a) in yrow.iter_mut().zip(arow.iter().step_by(s)) {
+                        *v = a + bias;
+                    }
+                }
             }
         }
     }
     Tensor::from_vec(y, Shape::nchw(n, oc, ho, wo))
+}
+
+/// Copies one `[c, h, w]` image into the interior of `padded`
+/// (`[c, h + 2p, w + 2p]`), whose border stays zero across calls.
+fn pad_image(xb: &[f32], padded: &mut [f32], h: usize, w: usize, p: usize) {
+    let (hp, wp) = (h + 2 * p, w + 2 * p);
+    for (xc, pc) in xb.chunks_exact(h * w).zip(padded.chunks_exact_mut(hp * wp)) {
+        for (src, dst) in xc.chunks_exact(w).zip(pc[p * wp..].chunks_exact_mut(wp)) {
+            dst[p..p + w].copy_from_slice(src);
+        }
+    }
+}
+
+/// 3×3 taps of one padded input channel `xc` (row pitch `wp`):
+/// `acc[i] += Σ xc[i + dy·wp + dx] · wk[dy·3 + dx]`, the nine products
+/// added in `(dy, dx)` order in one pass.
+///
+/// The loop vectorizes across grid positions without changing any one
+/// position's summation order.
+fn taps_3x3(acc: &mut [f32], xc: &[f32], wp: usize, wk: &[f32]) {
+    let span = acc.len() + 2;
+    let rows = [&xc[..span], &xc[wp..wp + span], &xc[2 * wp..2 * wp + span]];
+    let [w0, w1, w2, w3, w4, w5, w6, w7, w8] = [
+        wk[0], wk[1], wk[2], wk[3], wk[4], wk[5], wk[6], wk[7], wk[8],
+    ];
+    for (((a, r0), r1), r2) in acc
+        .iter_mut()
+        .zip(rows[0].windows(3))
+        .zip(rows[1].windows(3))
+        .zip(rows[2].windows(3))
+    {
+        *a = *a
+            + r0[0] * w0
+            + r0[1] * w1
+            + r0[2] * w2
+            + r1[0] * w3
+            + r1[1] * w4
+            + r1[2] * w5
+            + r2[0] * w6
+            + r2[1] * w7
+            + r2[2] * w8;
+    }
+}
+
+/// Any-size taps of one padded input channel, one `(dy, dx)` pass at a
+/// time so each position still sums in `(dy, dx)` order.
+fn taps_shifted(acc: &mut [f32], xc: &[f32], wp: usize, kw: usize, wk: &[f32]) {
+    let len = acc.len();
+    for (t, &wt) in wk.iter().enumerate() {
+        let off = (t / kw) * wp + t % kw;
+        for (a, &xv) in acc.iter_mut().zip(&xc[off..off + len]) {
+            *a += xv * wt;
+        }
+    }
 }
 
 /// Backward 2-D convolution.
@@ -289,33 +392,13 @@ pub fn conv2d_backward(
     dy: &Tensor,
     spec: &Conv2dSpec,
 ) -> Result<(Tensor, Tensor, Tensor)> {
-    check_weight(weight, spec)?;
-    let (n, h, w) = spec.validate_input(input)?;
+    let (n, h, w) = check_backward(input, weight, dy, spec)?;
     let (ho, wo) = spec.output_hw(h, w);
-    let expected_dy = Shape::nchw(n, spec.out_channels, ho, wo);
-    if dy.shape() != &expected_dy {
-        return Err(TensorError::ShapeMismatch {
-            left: expected_dy.dims().to_vec(),
-            right: dy.shape().dims().to_vec(),
-        });
-    }
-
     let _prof = KernelScope::enter(KernelKind::Conv2dBackward, || {
         Work::map(n * spec.out_channels * ho * wo)
     });
-    // Repack dy from NCHW to rows [n·ho·wo, oc] (matching the im2col row order).
     let oc = spec.out_channels;
-    let hw = ho * wo;
-    let dyv = dy.as_slice();
-    let mut dyrows = vec![0.0f32; n * hw * oc];
-    for b in 0..n {
-        for ch in 0..oc {
-            for p in 0..hw {
-                dyrows[(b * hw + p) * oc + ch] = dyv[(b * oc + ch) * hw + p];
-            }
-        }
-    }
-    let dyrows = Tensor::from_vec(dyrows, Shape::matrix(n * hw, oc))?;
+    let dyrows = dy_rows(dy, n, oc, ho * wo)?;
 
     let cols = im2col(input, spec)?;
     // dW = dyrowsᵀ · cols → [oc, patch]
@@ -331,12 +414,77 @@ pub fn conv2d_backward(
     }
     let db = Tensor::from_vec(db, Shape::vector(oc))?;
 
-    // dX = col2im(dyrows · W)
-    let wmat = weight.reshape(Shape::matrix(oc, spec.patch_len()))?;
-    let dcols = crate::ops::matmul::matmul(&dyrows, &wmat)?;
-    let dx = col2im(&dcols, n, h, w, spec)?;
-
+    let dx = input_grad(&dyrows, weight, n, h, w, spec)?;
     Ok((dx, dw, db))
+}
+
+/// The input gradient alone: the `dx` of [`conv2d_backward`], bit for bit,
+/// without the `im2col` and weight-gradient product that dW and db need.
+///
+/// # Errors
+///
+/// Returns shape/validation errors when the operands disagree with `spec`.
+pub fn conv2d_backward_input(
+    input: &Tensor,
+    weight: &Tensor,
+    dy: &Tensor,
+    spec: &Conv2dSpec,
+) -> Result<Tensor> {
+    let (n, h, w) = check_backward(input, weight, dy, spec)?;
+    let (ho, wo) = spec.output_hw(h, w);
+    let _prof = KernelScope::enter(KernelKind::Conv2dBackward, || {
+        Work::map(n * spec.out_channels * ho * wo)
+    });
+    let dyrows = dy_rows(dy, n, spec.out_channels, ho * wo)?;
+    input_grad(&dyrows, weight, n, h, w, spec)
+}
+
+/// Validates the backward operands; returns the input's `(n, h, w)`.
+fn check_backward(
+    input: &Tensor,
+    weight: &Tensor,
+    dy: &Tensor,
+    spec: &Conv2dSpec,
+) -> Result<(usize, usize, usize)> {
+    check_weight(weight, spec)?;
+    let (n, h, w) = spec.validate_input(input)?;
+    let (ho, wo) = spec.output_hw(h, w);
+    let expected_dy = Shape::nchw(n, spec.out_channels, ho, wo);
+    if dy.shape() != &expected_dy {
+        return Err(TensorError::ShapeMismatch {
+            left: expected_dy.dims().to_vec(),
+            right: dy.shape().dims().to_vec(),
+        });
+    }
+    Ok((n, h, w))
+}
+
+/// Repacks `dy` from NCHW to rows `[n·hw, oc]` (the `im2col` row order).
+fn dy_rows(dy: &Tensor, n: usize, oc: usize, hw: usize) -> Result<Tensor> {
+    let dyv = dy.as_slice();
+    let mut rows = vec![0.0f32; n * hw * oc];
+    for b in 0..n {
+        for ch in 0..oc {
+            for p in 0..hw {
+                rows[(b * hw + p) * oc + ch] = dyv[(b * oc + ch) * hw + p];
+            }
+        }
+    }
+    Tensor::from_vec(rows, Shape::matrix(n * hw, oc))
+}
+
+/// dX = col2im(dyrows · W).
+fn input_grad(
+    dyrows: &Tensor,
+    weight: &Tensor,
+    n: usize,
+    h: usize,
+    w: usize,
+    spec: &Conv2dSpec,
+) -> Result<Tensor> {
+    let wmat = weight.reshape(Shape::matrix(spec.out_channels, spec.patch_len()))?;
+    let dcols = matmul(dyrows, &wmat)?;
+    col2im(&dcols, n, h, w, spec)
 }
 
 #[cfg(test)]

@@ -1,14 +1,16 @@
 //! Blocked dense matrix multiplication.
 //!
-//! Three entry points cover the products backprop needs without materializing
-//! transposes:
+//! Three entry points cover the products the dense layers and the conv
+//! backward pass need without materializing transposes:
 //!
-//! - [`matmul`]: `C = A·B`
+//! - [`matmul`]: `C = A·B` (dense forward, conv input gradients)
 //! - [`matmul_at_b`]: `C = Aᵀ·B` (weight gradients)
-//! - [`matmul_a_bt`]: `C = A·Bᵀ` (input gradients)
+//! - [`matmul_a_bt`]: `C = A·Bᵀ` (dense input gradients)
 //!
-//! The kernels are written i-k-j with a fixed block size so the inner loop is
-//! a contiguous axpy the compiler auto-vectorizes.
+//! [`matmul`] is i-k-j with the contraction blocked, and [`matmul_at_b`] is
+//! k-i-j, so both inner loops are contiguous axpys the compiler
+//! auto-vectorizes. [`matmul_a_bt`] is i-j-k: each output is one sequential
+//! dot product of two contiguous rows.
 
 use crate::{Result, Shape, Tensor, TensorError};
 use adv_profile::{KernelKind, KernelScope, Work};

@@ -3,8 +3,9 @@
 //! kernels under random geometry.
 
 use adv_tensor::ops::{
-    avg_pool2d, avg_pool2d_backward, col2im, conv2d, conv2d_backward, im2col, matmul,
-    upsample2d_nearest, upsample2d_nearest_backward, Conv2dSpec, Pool2dSpec,
+    avg_pool2d, avg_pool2d_backward, col2im, conv2d, conv2d_backward, conv2d_backward_input,
+    im2col, matmul, matmul_a_bt, upsample2d_nearest, upsample2d_nearest_backward, Conv2dSpec,
+    Pool2dSpec,
 };
 use adv_tensor::{norms, Shape, Tensor};
 use proptest::prelude::*;
@@ -12,6 +13,59 @@ use proptest::prelude::*;
 fn small_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-10.0f32..10.0, len)
 }
+
+/// A deterministic tensor of values in `[-1, 1)` with full mantissas, so
+/// every product and partial sum rounds.
+fn hashed(shape: Shape, seed: u64) -> Tensor {
+    Tensor::from_fn(shape, |i| {
+        let mut z = (i as u64 ^ seed.rotate_left(17)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        (z >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    })
+}
+
+/// The `im2col` + `matmul_a_bt` + bias formulation of the forward conv —
+/// the bit-level reference the direct `conv2d` must reproduce.
+fn conv2d_reference(x: &Tensor, w: &Tensor, b: &Tensor, spec: &Conv2dSpec) -> Tensor {
+    let dims = x.shape().dims();
+    let (n, h, wd) = (dims[0], dims[2], dims[3]);
+    let (ho, wo) = spec.output_hw(h, wd);
+    let oc = spec.out_channels;
+    let cols = im2col(x, spec).unwrap();
+    let wmat = w.reshape(Shape::matrix(oc, spec.patch_len())).unwrap();
+    let rows = matmul_a_bt(&cols, &wmat).unwrap();
+    let (rv, bv) = (rows.as_slice(), b.as_slice());
+    let hw = ho * wo;
+    let mut y = vec![0.0f32; n * oc * hw];
+    for bi in 0..n {
+        for p in 0..hw {
+            for ch in 0..oc {
+                y[(bi * oc + ch) * hw + p] = rv[(bi * hw + p) * oc + ch] + bv[ch];
+            }
+        }
+    }
+    Tensor::from_vec(y, Shape::nchw(n, oc, ho, wo)).unwrap()
+}
+
+fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// `(in_channels, out_channels, side)` of every conv the served MagNet
+/// models run: the MNIST auto-encoders (AE-I's 14² bottleneck included)
+/// and the victim classifier.
+const SERVED_CONVS: [(usize, usize, usize); 6] = [
+    (1, 3, 28),
+    (3, 3, 28),
+    (3, 1, 28),
+    (3, 3, 14),
+    (1, 8, 28),
+    (8, 16, 14),
+];
 
 proptest! {
     #[test]
@@ -167,5 +221,92 @@ proptest! {
         let s = Tensor::stack(&[a.clone(), b.clone()]).unwrap();
         prop_assert_eq!(s.index_axis0(0).unwrap(), a);
         prop_assert_eq!(s.index_axis0(1).unwrap(), b);
+    }
+}
+
+#[test]
+fn conv2d_degenerate_geometry_matches_reference() {
+    // (n, c, h, w, oc, k, padding): empty batch, no channels, no pixels,
+    // no filters, an empty kernel.
+    for (n, c, h, w, oc, k, padding) in [
+        (0, 2, 4, 4, 3, 3, 1),
+        (2, 0, 4, 4, 3, 3, 1),
+        (2, 2, 0, 4, 3, 1, 1),
+        (2, 2, 4, 4, 0, 3, 1),
+        (1, 2, 4, 4, 3, 0, 0),
+    ] {
+        let spec = Conv2dSpec {
+            in_channels: c,
+            out_channels: oc,
+            kh: k,
+            kw: k,
+            stride: 1,
+            padding,
+        };
+        let x = hashed(Shape::nchw(n, c, h, w), 1);
+        let wt = hashed(Shape::new(vec![oc, c, k, k]), 2);
+        let b = hashed(Shape::vector(oc), 3);
+        let got = conv2d(&x, &wt, &b, &spec).unwrap();
+        assert!(
+            same_bits(&got, &conv2d_reference(&x, &wt, &b, &spec)),
+            "{spec:?}"
+        );
+    }
+}
+
+// Cheap kernels on small geometry: enough cases to reach every
+// (k, stride, padding) combination.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn conv2d_is_bit_identical_to_im2col_matmul(
+        ki in 0usize..4,
+        stride in 1usize..3,
+        pad_sel in 0usize..3,
+        n in 1usize..4,
+        c in 1usize..4,
+        oc in 1usize..4,
+        dh in 0usize..6,
+        dw in 0usize..6,
+        seed in 0u64..1_000_000,
+    ) {
+        let k = [1, 2, 3, 5][ki];
+        let spec = Conv2dSpec {
+            in_channels: c,
+            out_channels: oc,
+            kh: k,
+            kw: k,
+            stride,
+            padding: pad_sel % (k / 2 + 1),
+        };
+        let x = hashed(Shape::nchw(n, c, k + dh, k + dw), seed);
+        let w = hashed(Shape::new(vec![oc, c, k, k]), seed + 1);
+        let b = hashed(Shape::vector(oc), seed + 2);
+        let got = conv2d(&x, &w, &b, &spec).unwrap();
+        prop_assert!(same_bits(&got, &conv2d_reference(&x, &w, &b, &spec)), "{:?}", spec);
+    }
+
+    #[test]
+    fn conv2d_served_shapes_are_bit_identical(shape in 0usize..6, n in 1usize..4, seed in 0u64..1_000_000) {
+        let (c, oc, side) = SERVED_CONVS[shape];
+        let spec = Conv2dSpec::same(c, oc, 3);
+        let x = hashed(Shape::nchw(n, c, side, side), seed);
+        let w = hashed(Shape::new(vec![oc, c, 3, 3]), seed + 1);
+        let b = hashed(Shape::vector(oc), seed + 2);
+        let got = conv2d(&x, &w, &b, &spec).unwrap();
+        prop_assert!(same_bits(&got, &conv2d_reference(&x, &w, &b, &spec)), "{:?}", spec);
+    }
+
+    #[test]
+    fn conv2d_backward_input_matches_full_backward(ki in 0usize..4, stride in 1usize..3, n in 1usize..3, seed in 0u64..1_000_000) {
+        let k = [1, 2, 3, 5][ki];
+        let spec = Conv2dSpec { in_channels: 2, out_channels: 3, kh: k, kw: k, stride, padding: k / 2 };
+        let x = hashed(Shape::nchw(n, 2, k + 3, k + 2), seed);
+        let w = hashed(Shape::new(vec![3, 2, k, k]), seed + 1);
+        let y = conv2d(&x, &w, &Tensor::zeros(Shape::vector(3)), &spec).unwrap();
+        let dy = hashed(y.shape().clone(), seed + 2);
+        let (dx, _, _) = conv2d_backward(&x, &w, &dy, &spec).unwrap();
+        prop_assert!(same_bits(&dx, &conv2d_backward_input(&x, &w, &dy, &spec).unwrap()));
     }
 }
