@@ -3,9 +3,9 @@
 //! detect-reform-classify path.
 
 use adv_bench::{image_batch, trained_autoencoders, trained_classifier};
-use adv_magnet::DefenseScheme;
 use adv_magnet::{
-    Detector, JsdDetector, MagnetDefense, ReconstructionDetector, ReconstructionNorm,
+    DefensePipeline, DefenseScheme, Detector, InferenceCache, JsdDetector, MagnetDefense,
+    ReconstructionDetector, ReconstructionNorm,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -19,16 +19,25 @@ fn bench_detectors(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("recon_l1", |bench| {
         let det = ReconstructionDetector::new(aes.ae_two.clone(), ReconstructionNorm::L1);
-        bench.iter(|| det.scores(black_box(&x)).expect("det.scores failed"))
+        bench.iter(|| {
+            det.scores(black_box(&x), &mut InferenceCache::new())
+                .expect("det.scores failed")
+        })
     });
     g.bench_function("recon_l2", |bench| {
         let det = ReconstructionDetector::new(aes.ae_one.clone(), ReconstructionNorm::L2);
-        bench.iter(|| det.scores(black_box(&x)).expect("det.scores failed"))
+        bench.iter(|| {
+            det.scores(black_box(&x), &mut InferenceCache::new())
+                .expect("det.scores failed")
+        })
     });
     g.bench_function("jsd_t40", |bench| {
         let det = JsdDetector::new(aes.ae_one.clone(), clf.clone(), 40.0)
             .expect("JsdDetector::new failed");
-        bench.iter(|| det.scores(black_box(&x)).expect("det.scores failed"))
+        bench.iter(|| {
+            det.scores(black_box(&x), &mut InferenceCache::new())
+                .expect("det.scores failed")
+        })
     });
     g.finish();
 }
@@ -75,8 +84,8 @@ fn bench_full_pipeline(c: &mut Criterion) {
         g.bench_function(format!("{scheme:?}"), |bench| {
             bench.iter(|| {
                 defense
-                    .classify(black_box(&x), scheme)
-                    .expect("defense.classify failed")
+                    .classify_batch(black_box(&x), scheme)
+                    .expect("defense.classify_batch failed")
             })
         });
     }

@@ -7,7 +7,7 @@
 //! `inprocess_submit` on the same engine config is the baseline to
 //! subtract; the codec-only benchmark bounds the serialization share.
 
-use adv_magnet::{DefensePipeline, DefenseScheme, StageTimings, Verdict};
+use adv_magnet::{DefensePipeline, DefenseScheme, PassReport, Verdict};
 use adv_net::{
     ClientConfig, Frame, NetClient, NetServer, NetServerConfig, Reply, TenantPolicy, TenantSpec,
 };
@@ -33,11 +33,11 @@ impl DefensePipeline for NoopPipeline {
         &self,
         x: &Tensor,
         _scheme: DefenseScheme,
-    ) -> adv_magnet::Result<(Vec<Verdict>, StageTimings)> {
+    ) -> adv_magnet::Result<(Vec<Verdict>, PassReport)> {
         let n = x.shape().dims().first().copied().unwrap_or(0);
         Ok((
             (0..n).map(Verdict::Classified).collect(),
-            StageTimings::default(),
+            PassReport::default(),
         ))
     }
 }

@@ -15,7 +15,8 @@
 use adv_bench::{image_batch, trained_autoencoders, trained_classifier};
 use adv_chaos::FaultInjector;
 use adv_magnet::{
-    DefenseScheme, Detector, JsdDetector, MagnetDefense, ReconstructionDetector, ReconstructionNorm,
+    DefensePipeline, DefenseScheme, Detector, JsdDetector, MagnetDefense, ReconstructionDetector,
+    ReconstructionNorm,
 };
 use adv_serve::{ServeConfig, ServeEngine};
 use adv_telemetry::{RecorderConfig, TelemetryRecorder};
@@ -98,8 +99,8 @@ fn bench_serve_throughput(c: &mut Criterion) {
             for x in &singles {
                 black_box(
                     defense
-                        .classify(black_box(x), DefenseScheme::Full)
-                        .expect("defense.classify failed"),
+                        .classify_batch(black_box(x), DefenseScheme::Full)
+                        .expect("defense.classify_batch failed"),
                 );
             }
         })

@@ -4,23 +4,23 @@
 //! injection points so chaos tests can fail exactly one stage of the
 //! pipeline: detector scoring ([`SITE_DETECT`]), the reformer
 //! ([`SITE_REFORM`]), or the protected classifier ([`SITE_CLASSIFY`]).
-//! The stage structure replicates `MagnetDefense::classify_timed` operation
-//! for operation, so with a no-op injector the verdicts are bit-identical
-//! to the unwrapped defense (pinned by this module's tests).
+//! It holds no stage logic of its own: it runs the defense's one pass,
+//! [`MagnetDefense::pass`], with the injector as the pass's per-stage hook.
+//! The injector is consulted once before each stage the scheme runs, so
+//! with a no-op injector the verdicts and scores equal the unwrapped
+//! defense's (pinned by this module's tests).
 
 use crate::FaultInjector;
-use adv_magnet::{
-    DefensePipeline, DefenseScheme, MagnetDefense, MagnetError, StageTimings, Verdict,
-};
+use adv_magnet::{DefensePipeline, DefenseScheme, MagnetDefense, MagnetError, PassReport, Verdict};
 use adv_tensor::Tensor;
 use std::sync::Arc;
 
 /// Injection site evaluated before detector scoring.
-pub const SITE_DETECT: &str = "magnet/detect";
+pub const SITE_DETECT: &str = adv_magnet::STAGE_DETECT;
 /// Injection site evaluated before the reformer pass.
-pub const SITE_REFORM: &str = "magnet/reform";
+pub const SITE_REFORM: &str = adv_magnet::STAGE_REFORM;
 /// Injection site evaluated before the classifier forward pass.
-pub const SITE_CLASSIFY: &str = "magnet/classify";
+pub const SITE_CLASSIFY: &str = adv_magnet::STAGE_CLASSIFY;
 
 /// [`MagnetDefense`] with deterministic faults between its stages.
 #[derive(Debug)]
@@ -64,53 +64,8 @@ impl DefensePipeline for FaultyDefense {
         &self,
         x: &Tensor,
         scheme: DefenseScheme,
-    ) -> adv_magnet::Result<(Vec<Verdict>, StageTimings)> {
-        let n = x.shape().dim(0);
-        let mut timings = StageTimings::default();
-
-        // lint-ok(gated-clocks): StageTimings is part of the pipeline API;
-        // the clock read is the feature (same contract as classify_timed).
-        let t0 = std::time::Instant::now();
-        let detected = match scheme {
-            DefenseScheme::DetectorOnly | DefenseScheme::Full => {
-                self.inject(SITE_DETECT)?;
-                let d = self.inner.detect(x)?;
-                timings.detect = t0.elapsed();
-                d
-            }
-            _ => vec![false; n],
-        };
-
-        // lint-ok(gated-clocks): see above — the stage timing is the API.
-        let t1 = std::time::Instant::now();
-        let input = match scheme {
-            DefenseScheme::ReformerOnly | DefenseScheme::Full => {
-                self.inject(SITE_REFORM)?;
-                let r = self.inner.reform(x)?;
-                timings.reform = t1.elapsed();
-                r
-            }
-            _ => x.clone(),
-        };
-
-        // lint-ok(gated-clocks): see above — the stage timing is the API.
-        let t2 = std::time::Instant::now();
-        self.inject(SITE_CLASSIFY)?;
-        let preds = self.inner.classifier().predict_shared(&input)?;
-        timings.classify = t2.elapsed();
-
-        let verdicts = detected
-            .into_iter()
-            .zip(preds)
-            .map(|(d, p)| {
-                if d {
-                    Verdict::Detected
-                } else {
-                    Verdict::Classified(p)
-                }
-            })
-            .collect();
-        Ok((verdicts, timings))
+    ) -> adv_magnet::Result<(Vec<Verdict>, PassReport)> {
+        self.inner.pass(x, scheme, &mut |site| self.inject(site))
     }
 }
 
@@ -119,12 +74,19 @@ mod tests {
     use super::*;
     use crate::{FaultError, FaultPlan, SiteFaults};
     use adv_magnet::arch::{mnist_ae_two, mnist_classifier};
-    use adv_magnet::{Autoencoder, Detector, ReconstructionDetector, ReconstructionNorm};
+    use adv_magnet::{
+        Autoencoder, Detector, JsdDetector, ReconstructionDetector, ReconstructionNorm,
+    };
     use adv_nn::loss::ReconstructionLoss;
     use adv_nn::Sequential;
     use adv_tensor::Shape;
 
-    fn toy_defense() -> Arc<MagnetDefense> {
+    const SITES: [&str; 3] = [SITE_DETECT, SITE_REFORM, SITE_CLASSIFY];
+
+    /// A calibrated toy defense: one L2 reconstruction detector, or (with
+    /// `jsd`) the D+JSD pattern that adds two JSD detectors over the same
+    /// auto-encoder and classifier.
+    fn defense(jsd: bool) -> Arc<MagnetDefense> {
         let ae = Autoencoder::new(
             &mnist_ae_two(1, 3),
             ReconstructionLoss::MeanSquaredError,
@@ -133,62 +95,94 @@ mod tests {
         )
         .unwrap();
         let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
-        let det: Box<dyn Detector> = Box::new(ReconstructionDetector::new(
+        let mut dets: Vec<Box<dyn Detector>> = vec![Box::new(ReconstructionDetector::new(
             ae.clone(),
             ReconstructionNorm::L2,
-        ));
-        let mut d = MagnetDefense::new("chaos-toy", vec![det], ae, classifier);
+        ))];
+        if jsd {
+            for t in [10.0, 40.0] {
+                dets.push(Box::new(
+                    JsdDetector::new(ae.clone(), classifier.clone(), t).unwrap(),
+                ));
+            }
+        }
+        let mut d = MagnetDefense::new("chaos-toy", dets, ae, classifier);
         d.calibrate_detectors(&batch(64), 0.05).unwrap();
         Arc::new(d)
+    }
+
+    fn toy_defense() -> Arc<MagnetDefense> {
+        defense(false)
     }
 
     fn batch(n: usize) -> Tensor {
         Tensor::from_fn(Shape::nchw(n, 1, 8, 8), |i| ((i * 7) % 11) as f32 / 11.0)
     }
 
-    #[test]
-    fn noop_injector_is_bit_identical_to_unwrapped_defense() {
-        let defense = toy_defense();
-        let faulty = FaultyDefense::new(defense.clone(), Arc::new(FaultInjector::disabled()));
-        let x = batch(10);
-        for scheme in DefenseScheme::ALL {
-            let serial = defense.classify(&x, scheme).unwrap();
-            let (wrapped, _) = faulty.classify_batch(&x, scheme).unwrap();
-            assert_eq!(wrapped, serial, "{scheme:?}");
+    /// `true` when `scheme` runs the stage behind injection site `site`.
+    fn runs(scheme: DefenseScheme, site: &str) -> bool {
+        match site {
+            SITE_DETECT => matches!(scheme, DefenseScheme::DetectorOnly | DefenseScheme::Full),
+            SITE_REFORM => matches!(scheme, DefenseScheme::ReformerOnly | DefenseScheme::Full),
+            _ => true,
         }
     }
 
     #[test]
-    fn injected_stage_error_surfaces_as_stage_error() {
-        let defense = toy_defense();
-        let plan = FaultPlan::new(3).with(SiteFaults::at(SITE_REFORM).errors(1.0));
-        let faulty = FaultyDefense::new(defense, Arc::new(FaultInjector::new(plan).unwrap()));
-        let err = faulty
-            .classify_batch(&batch(2), DefenseScheme::Full)
-            .unwrap_err();
-        match err {
-            MagnetError::Stage { stage, .. } => assert_eq!(stage, SITE_REFORM),
-            other => panic!("expected Stage error, got {other}"),
+    fn noop_injector_equals_unwrapped_defense() {
+        for jsd in [false, true] {
+            let defense = defense(jsd);
+            let faulty = FaultyDefense::new(defense.clone(), Arc::new(FaultInjector::disabled()));
+            let x = batch(10);
+            for scheme in DefenseScheme::ALL {
+                let (want, want_report) = defense.classify_batch(&x, scheme).unwrap();
+                let (got, report) = faulty.classify_batch(&x, scheme).unwrap();
+                assert_eq!(got, want, "jsd={jsd} {scheme:?}");
+                assert_eq!(report.scores, want_report.scores, "jsd={jsd} {scheme:?}");
+            }
         }
     }
 
     #[test]
-    fn faults_on_skipped_stages_do_not_fire() {
+    fn each_site_is_consulted_once_per_batch_that_runs_its_stage() {
+        // Seeded chaos schedules replay only if every site draws exactly as
+        // often as before: once per batch whose scheme runs the stage.
         let defense = toy_defense();
-        let plan = FaultPlan::new(3).with(SiteFaults::at(SITE_REFORM).errors(1.0));
-        let faulty =
-            FaultyDefense::new(defense.clone(), Arc::new(FaultInjector::new(plan).unwrap()));
-        // DetectorOnly never runs the reformer, so the reform site is never
-        // consulted and the verdicts match the clean pipeline.
-        let x = batch(4);
-        let (got, _) = faulty
-            .classify_batch(&x, DefenseScheme::DetectorOnly)
-            .unwrap();
-        assert_eq!(
-            got,
-            defense.classify(&x, DefenseScheme::DetectorOnly).unwrap()
-        );
-        assert_eq!(faulty.injector().stats().errors, 0);
+        for site in SITES {
+            let plan = FaultPlan::new(3).with(SiteFaults::at(site));
+            let injector = Arc::new(FaultInjector::new(plan).unwrap());
+            let faulty = FaultyDefense::new(defense.clone(), injector.clone());
+            let mut expected = 0;
+            for scheme in DefenseScheme::ALL {
+                faulty.classify_batch(&batch(3), scheme).unwrap();
+                expected += u64::from(runs(scheme, site));
+                assert_eq!(injector.stats().decisions, expected, "{site} {scheme:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn injected_error_fails_exactly_the_schemes_that_run_the_stage() {
+        let defense = toy_defense();
+        for site in SITES {
+            let plan = FaultPlan::new(3).with(SiteFaults::at(site).errors(1.0));
+            let faulty =
+                FaultyDefense::new(defense.clone(), Arc::new(FaultInjector::new(plan).unwrap()));
+            let x = batch(4);
+            for scheme in DefenseScheme::ALL {
+                match faulty.classify_batch(&x, scheme) {
+                    Err(MagnetError::Stage { stage, .. }) => {
+                        assert!(runs(scheme, site), "{site} fired under {scheme:?}");
+                        assert_eq!(stage, site);
+                    }
+                    Err(other) => panic!("expected Stage error, got {other}"),
+                    Ok((got, _)) => {
+                        assert!(!runs(scheme, site), "{site} did not fire under {scheme:?}");
+                        assert_eq!(got, defense.classify_batch(&x, scheme).unwrap().0);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@ use adv_eval::experiment::successful_examples;
 use adv_eval::sweep::{AttackKind, SweepRunner};
 use adv_eval::zoo::{Scenario, Variant, Zoo};
 use adv_magnet::variants::{assemble_cifar_defense, assemble_mnist_defense};
-use adv_magnet::{Detector, JsdDetector, ReconstructionDetector, ReconstructionNorm};
+use adv_magnet::{
+    Detector, InferenceCache, JsdDetector, ReconstructionDetector, ReconstructionNorm,
+};
 use adv_nn::loss::ReconstructionLoss;
 use adv_nn::train::gather0;
 use adv_tensor::stats::{mean, quantile};
@@ -141,9 +143,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     Scenario::Cifar => zoo.scale().fpr_cifar,
                 },
             )?;
-            let clean_scores = det.scores(&valid)?;
-            let cw_scores = det.scores(&cw_adv)?;
-            let ead_scores = det.scores(&ead_adv)?;
+            let clean_scores = det.scores(&valid, &mut InferenceCache::new())?;
+            let cw_scores = det.scores(&cw_adv, &mut InferenceCache::new())?;
+            let ead_scores = det.scores(&ead_adv, &mut InferenceCache::new())?;
             summarize(
                 &det.name(),
                 &clean_scores,

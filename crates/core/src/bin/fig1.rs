@@ -7,7 +7,7 @@ use adv_eval::experiment::successful_examples;
 use adv_eval::render::{ascii_pair, write_pgm, write_ppm};
 use adv_eval::sweep::{AttackKind, SweepRunner};
 use adv_eval::zoo::{Scenario, Variant, Zoo};
-use adv_magnet::{DefenseScheme, Verdict};
+use adv_magnet::{DefensePipeline, DefenseScheme, Verdict};
 use adv_nn::train::gather0;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 println!("{}: no successful examples", kind.label());
                 continue;
             };
-            let verdicts = defense.classify(&adv, DefenseScheme::Full)?;
+            let (verdicts, _) = defense.classify_batch(&adv, DefenseScheme::Full)?;
 
             let show = adv_labels.len().min(4);
             println!("\n--- {} (kappa={kappa}) ---", kind.label());

@@ -103,7 +103,7 @@ fn in_process_verdicts(
     let mut verdicts = Vec::with_capacity(samples.len());
     for s in samples {
         let x = Tensor::stack(std::slice::from_ref(&s.input))?;
-        let mut v = defense.classify(&x, DefenseScheme::Full)?;
+        let (mut v, _) = defense.classify_batch(&x, DefenseScheme::Full)?;
         verdicts.push(v.remove(0));
     }
     Ok(verdicts)

@@ -1,14 +1,15 @@
 //! Serving-engine probe: replays an adversarial corpus (C&W L2 vs EAD L1)
-//! against the MNIST D+JSD defense through both evaluation paths — the
-//! serial one-`classify`-per-sample loop the experiment binaries use, and
-//! the batched `adv-serve` engine — and reports throughput, latency
-//! percentiles, and attack success rate for each.
+//! against the MNIST D+JSD defense three ways — "serial", one-sample
+//! batches through `classify_batch`; "served", the batched `adv-serve`
+//! engine; and "zoo", the engine behind a `ModelZoo` — and reports
+//! throughput, latency percentiles, and attack success rate for each.
 //!
-//! The two paths must agree verdict-for-verdict (the engine's fused batch
-//! pass is bit-identical to serial classification), so the printed ASR and
-//! accuracy are asserted equal before the speedup is reported. Both paths
-//! run on one worker/thread; the engine's advantage is batching plus fused
-//! deduplication of MagNet's shared sub-computations, not parallelism.
+//! All three run the defense's one pass (the one the experiment binaries
+//! evaluate with), so they must agree verdict-for-verdict: the printed ASR
+//! and accuracy are asserted equal before the speedup is reported. Every
+//! leg runs on one worker/thread and deduplicates MagNet's shared
+//! sub-computations the same way, so the speedup measures batching alone,
+//! not parallelism.
 //!
 //! Usage: `serve_probe [--scale smoke|quick|paper] [--models <dir>] …`; the
 //! corpus is 128 samples per attack (256 total) when the test pool at the
@@ -17,7 +18,7 @@
 use adv_eval::config::CliArgs;
 use adv_eval::sweep::{AttackKind, SweepRunner};
 use adv_eval::zoo::{Scenario, Variant, Zoo};
-use adv_magnet::{DefenseScheme, MagnetDefense, Verdict};
+use adv_magnet::{DefensePipeline, DefenseScheme, MagnetDefense, Verdict};
 use adv_serve::{RequestTag, ServeConfig, ServeEngine, VariantRouter, DEFAULT_VARIANT};
 use adv_tensor::Tensor;
 use adv_zoo::{ModelZoo, NullLoader, ZooConfig};
@@ -76,7 +77,7 @@ impl PathReport {
     }
 }
 
-/// The pre-`adv-serve` evaluation pattern: one `classify` call per sample.
+/// The unbatched pattern: one `classify_batch` call per sample.
 fn run_serial(
     defense: &MagnetDefense,
     samples: &[Sample],
@@ -89,7 +90,7 @@ fn run_serial(
         // lint-ok(gated-clocks): per-request latency is what the probe measures
         let t0 = Instant::now();
         let x = Tensor::stack(std::slice::from_ref(&s.input))?;
-        let mut v = defense.classify(&x, DefenseScheme::Full)?;
+        let (mut v, _) = defense.classify_batch(&x, DefenseScheme::Full)?;
         latencies.push(t0.elapsed());
         verdicts.push(v.remove(0));
     }

@@ -25,7 +25,7 @@
 //! is exact and needs no model files.
 
 use adv_chaos::{FaultInjector, FaultPlan, SiteFaults};
-use adv_magnet::{DefensePipeline, DefenseScheme, StageTimings, Verdict};
+use adv_magnet::{DefensePipeline, DefenseScheme, PassReport, Verdict};
 use adv_serve::{RequestTag, ServeConfig, VariantRouter};
 use adv_tensor::{Shape, Tensor};
 use adv_zoo::{ModelZoo, PipelineLoader, PromotionStage, WeightBlob, ZooConfig, ZooError};
@@ -61,14 +61,14 @@ impl DefensePipeline for SeededPipeline {
         &self,
         x: &Tensor,
         _scheme: DefenseScheme,
-    ) -> adv_magnet::Result<(Vec<Verdict>, StageTimings)> {
+    ) -> adv_magnet::Result<(Vec<Verdict>, PassReport)> {
         let n = x.shape().dims().first().copied().unwrap_or(0);
         let data = x.as_slice();
         let item_len = data.len() / n.max(1);
         let verdicts = (0..n)
             .map(|i| seeded_verdict(self.seed, &data[i * item_len..(i + 1) * item_len]))
             .collect();
-        Ok((verdicts, StageTimings::default()))
+        Ok((verdicts, PassReport::default()))
     }
 }
 

@@ -499,7 +499,7 @@ pub fn classifier_accuracy(net: &mut Sequential, ds: &Dataset) -> Result<f32> {
 ///
 /// Propagates pipeline errors.
 pub fn defended_clean_accuracy(defense: &mut MagnetDefense, ds: &Dataset) -> Result<f32> {
-    use adv_magnet::{DefenseScheme, Verdict};
+    use adv_magnet::{DefensePipeline, DefenseScheme, Verdict};
     if ds.is_empty() {
         return Ok(0.0);
     }
@@ -507,7 +507,7 @@ pub fn defended_clean_accuracy(defense: &mut MagnetDefense, ds: &Dataset) -> Res
     let indices: Vec<usize> = (0..ds.len()).collect();
     for chunk in indices.chunks(100) {
         let xb = gather0(ds.images(), chunk)?;
-        let verdicts = defense.classify(&xb, DefenseScheme::Full)?;
+        let (verdicts, _) = defense.classify_batch(&xb, DefenseScheme::Full)?;
         for (v, &i) in verdicts.iter().zip(chunk) {
             // On clean data a detection is a *mistake*, unlike on
             // adversarial data.

@@ -1,7 +1,7 @@
 use crate::autoencoder::Autoencoder;
-use crate::detector::Detector;
+use crate::detector::{record_scores, Detector};
 use crate::fused::InferenceCache;
-use crate::Result;
+use crate::{MagnetError, Result};
 use adv_nn::Sequential;
 use adv_obs::Span;
 use adv_profile::StageScope;
@@ -91,8 +91,16 @@ impl Verdict {
     }
 }
 
-/// Wall-clock time spent in each stage of one [`MagnetDefense::classify_timed`]
-/// call. Stages skipped by the scheme report [`Duration::ZERO`].
+/// Name of the detector stage: its trace span, its profile scope and the
+/// argument [`MagnetDefense::pass`] hands its hook before scoring.
+pub const STAGE_DETECT: &str = "magnet/detect";
+/// Name of the reformer stage (see [`STAGE_DETECT`]).
+pub const STAGE_REFORM: &str = "magnet/reform";
+/// Name of the classifier stage (see [`STAGE_DETECT`]).
+pub const STAGE_CLASSIFY: &str = "magnet/classify";
+
+/// Wall-clock time spent in each stage of one [`MagnetDefense::pass`].
+/// Stages skipped by the scheme report [`Duration::ZERO`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Detector scoring (all deployed detectors, OR-combined).
@@ -110,6 +118,17 @@ impl StageTimings {
     }
 }
 
+/// What one pass reports besides its verdicts.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PassReport {
+    /// Wall-clock time per stage.
+    pub timings: StageTimings,
+    /// Each deployed detector's per-item anomaly scores (outer index =
+    /// detector, in deployment order; empty under schemes that skip the
+    /// detectors). Telemetry recording rides on these.
+    pub scores: Vec<Vec<f32>>,
+}
+
 /// Object-safe view of a batch classification pipeline.
 ///
 /// The serving engine (`adv-serve`) drives whatever implements this trait —
@@ -121,7 +140,7 @@ pub trait DefensePipeline: Send + Sync + std::fmt::Debug {
     fn name(&self) -> &str;
 
     /// Classifies a stacked batch (`[N, C, H, W]`) under `scheme`, returning
-    /// one verdict per input plus per-stage wall-clock timings.
+    /// one verdict per input plus the pass's timings and detector scores.
     ///
     /// # Errors
     ///
@@ -130,27 +149,7 @@ pub trait DefensePipeline: Send + Sync + std::fmt::Debug {
         &self,
         x: &Tensor,
         scheme: DefenseScheme,
-    ) -> Result<(Vec<Verdict>, StageTimings)>;
-
-    /// Like [`classify_batch`](Self::classify_batch), but additionally
-    /// returns each deployed detector's per-item anomaly scores (outer index
-    /// = detector, in deployment order; empty under schemes that skip the
-    /// detectors). Telemetry recording rides on this.
-    ///
-    /// The default forwards to `classify_batch` with no scores, so wrappers
-    /// that only decorate verdicts keep working unchanged.
-    ///
-    /// # Errors
-    ///
-    /// As [`classify_batch`](Self::classify_batch).
-    fn classify_batch_scored(
-        &self,
-        x: &Tensor,
-        scheme: DefenseScheme,
-    ) -> Result<(Vec<Verdict>, Vec<Vec<f32>>, StageTimings)> {
-        let (verdicts, timings) = self.classify_batch(x, scheme)?;
-        Ok((verdicts, Vec::new(), timings))
-    }
+    ) -> Result<(Vec<Verdict>, PassReport)>;
 }
 
 impl DefensePipeline for MagnetDefense {
@@ -162,19 +161,29 @@ impl DefensePipeline for MagnetDefense {
         &self,
         x: &Tensor,
         scheme: DefenseScheme,
-    ) -> Result<(Vec<Verdict>, StageTimings)> {
-        // The fused pass is the serving hot path: bit-identical to
-        // `classify`, with shared sub-computations memoised per batch.
-        self.classify_fused(x, scheme)
+    ) -> Result<(Vec<Verdict>, PassReport)> {
+        self.pass(x, scheme, &mut |_| Ok(()))
     }
+}
 
-    fn classify_batch_scored(
-        &self,
-        x: &Tensor,
-        scheme: DefenseScheme,
-    ) -> Result<(Vec<Verdict>, Vec<Vec<f32>>, StageTimings)> {
-        self.classify_fused_scored(x, scheme)
-    }
+/// Runs one stage of a pass: the hook first, then `body` inside the stage's
+/// trace span and profile scope. On success the stage's wall-clock time
+/// (hook included) goes to `elapsed`.
+fn stage<T>(
+    name: &'static str,
+    hook: &mut dyn FnMut(&'static str) -> Result<()>,
+    elapsed: &mut Duration,
+    body: impl FnOnce() -> Result<T>,
+) -> Result<T> {
+    // lint-ok(gated-clocks): StageTimings is part of the pipeline API; the
+    // clock read is the feature.
+    let t0 = std::time::Instant::now();
+    hook(name)?;
+    let _span = Span::enter(name);
+    let _stage = StageScope::enter(name);
+    let out = body()?;
+    *elapsed = t0.elapsed();
+    Ok(out)
 }
 
 /// The assembled MagNet defense: a set of calibrated detectors, a reformer
@@ -239,10 +248,9 @@ impl MagnetDefense {
     ///
     /// Returns an uncalibrated-detector error or scoring errors.
     pub fn detect(&self, x: &Tensor) -> Result<Vec<bool>> {
-        let n = x.shape().dim(0);
-        let mut combined = vec![false; n];
-        for det in &self.detectors {
-            for (c, f) in combined.iter_mut().zip(det.flags(x)?) {
+        let mut combined = vec![false; x.shape().dim(0)];
+        for (_, flags) in self.detect_breakdown(x)? {
+            for (c, f) in combined.iter_mut().zip(flags) {
                 *c |= f;
             }
         }
@@ -257,9 +265,13 @@ impl MagnetDefense {
     ///
     /// Returns an uncalibrated-detector error or scoring errors.
     pub fn detect_breakdown(&self, x: &Tensor) -> Result<Vec<(String, Vec<bool>)>> {
+        let mut cache = InferenceCache::new();
         self.detectors
             .iter()
-            .map(|d| Ok((d.name(), d.flags(x)?)))
+            .map(|d| {
+                let (scores, threshold) = scored(d.as_ref(), x, &mut cache)?;
+                Ok((d.name(), scores.iter().map(|&s| s > threshold).collect()))
+            })
             .collect()
     }
 
@@ -272,181 +284,65 @@ impl MagnetDefense {
         self.reformer.reconstruct(x)
     }
 
-    /// Runs the pipeline under a scheme and returns one verdict per input.
+    /// The defense pass: detectors, then reformer, then classifier, as far
+    /// as `scheme` runs them. Returns one verdict per input plus the stage
+    /// timings and every detector's scores.
     ///
-    /// # Errors
+    /// `hook` is called once before each stage that runs, with the stage's
+    /// name ([`STAGE_DETECT`], [`STAGE_REFORM`], [`STAGE_CLASSIFY`]); an
+    /// error from it fails the pass. Fault-injecting wrappers use it;
+    /// everyone else calls [`DefensePipeline::classify_batch`], which passes
+    /// a no-op.
     ///
-    /// Propagates detector and classifier errors.
-    pub fn classify(&self, x: &Tensor, scheme: DefenseScheme) -> Result<Vec<Verdict>> {
-        Ok(self.classify_timed(x, scheme)?.0)
-    }
-
-    /// Like [`classify`](Self::classify) but also reports wall-clock time per
-    /// pipeline stage — the serving engine's per-request latency breakdown.
-    ///
-    /// # Errors
-    ///
-    /// Propagates detector and classifier errors.
-    pub fn classify_timed(
-        &self,
-        x: &Tensor,
-        scheme: DefenseScheme,
-    ) -> Result<(Vec<Verdict>, StageTimings)> {
-        let n = x.shape().dim(0);
-        let mut timings = StageTimings::default();
-
-        // lint-ok(gated-clocks): StageTimings.detect is part of the
-        // classify_timed/classify_fused API; the clock read is the feature.
-        let t0 = std::time::Instant::now();
-        let detected = match scheme {
-            DefenseScheme::DetectorOnly | DefenseScheme::Full => {
-                let _span = Span::enter("magnet/detect");
-                let _stage = StageScope::enter("magnet/detect");
-                let d = self.detect(x)?;
-                timings.detect = t0.elapsed();
-                d
-            }
-            _ => vec![false; n],
-        };
-
-        // lint-ok(gated-clocks): StageTimings.reform is part of the
-        // classify_timed/classify_fused API; the clock read is the feature.
-        let t1 = std::time::Instant::now();
-        let input = match scheme {
-            DefenseScheme::ReformerOnly | DefenseScheme::Full => {
-                let _span = Span::enter("magnet/reform");
-                let _stage = StageScope::enter("magnet/reform");
-                let r = self.reform(x)?;
-                timings.reform = t1.elapsed();
-                r
-            }
-            _ => x.clone(),
-        };
-
-        // lint-ok(gated-clocks): StageTimings.classify is part of the
-        // classify_timed/classify_fused API; the clock read is the feature.
-        let t2 = std::time::Instant::now();
-        let preds = {
-            let _span = Span::enter("magnet/classify");
-            let _stage = StageScope::enter("magnet/classify");
-            self.classifier.predict_shared(&input)?
-        };
-        timings.classify = t2.elapsed();
-
-        let verdicts: Vec<Verdict> = detected
-            .into_iter()
-            .zip(preds)
-            .map(|(d, p)| {
-                if d {
-                    Verdict::Detected
-                } else {
-                    Verdict::Classified(p)
-                }
-            })
-            .collect();
-        record_verdicts(&verdicts);
-        Ok((verdicts, timings))
-    }
-
-    /// Like [`classify_timed`](Self::classify_timed), but runs the pipeline
-    /// through an [`InferenceCache`] so sub-computations shared between
-    /// detectors, reformer, and classifier execute once per batch instead of
-    /// once per consumer.
-    ///
-    /// The cache only reuses a result when model parameters and input tensor
-    /// are bit-identical, so the verdicts (and stage attribution of *which*
-    /// work ran) match [`classify`](Self::classify) exactly — this is the
-    /// serving engine's hot path, and its speedup over the serial path comes
-    /// from MagNet's own redundancy: the paper's assemblies reuse one
+    /// The pass runs through an [`InferenceCache`], so sub-computations
+    /// shared between detectors, reformer, and classifier execute once per
+    /// batch instead of once per consumer. The cache only reuses a result
+    /// when model parameters and input tensor are bit-identical, so the
+    /// verdicts and scores match a pass in which every consumer reruns its
+    /// own networks (the tests keep such a reference). The saving comes from
+    /// MagNet's own redundancy: the paper's assemblies reuse one
     /// auto-encoder as both detector and reformer, and JSD detectors re-run
     /// the protected classifier.
     ///
     /// # Errors
     ///
-    /// Propagates detector and classifier errors.
-    pub fn classify_fused(
+    /// Propagates hook, detector, reformer and classifier errors.
+    pub fn pass(
         &self,
         x: &Tensor,
         scheme: DefenseScheme,
-    ) -> Result<(Vec<Verdict>, StageTimings)> {
-        let (verdicts, _, timings) = self.classify_fused_scored(x, scheme)?;
-        Ok((verdicts, timings))
-    }
-
-    /// Like [`classify_fused`](Self::classify_fused), but also returns each
-    /// detector's per-item scores (outer index = detector, deployment
-    /// order; empty under schemes that skip the detectors). The verdicts
-    /// are bit-identical to `classify_fused` — flags are `score >
-    /// threshold` on the exact same score vectors the detectors already
-    /// compute, so keeping them costs no extra pipeline work.
-    ///
-    /// # Errors
-    ///
-    /// Propagates detector and classifier errors.
-    pub fn classify_fused_scored(
-        &self,
-        x: &Tensor,
-        scheme: DefenseScheme,
-    ) -> Result<(Vec<Verdict>, Vec<Vec<f32>>, StageTimings)> {
-        let n = x.shape().dim(0);
-        let mut timings = StageTimings::default();
+        hook: &mut dyn FnMut(&'static str) -> Result<()>,
+    ) -> Result<(Vec<Verdict>, PassReport)> {
+        let mut report = PassReport::default();
         let mut cache = InferenceCache::new();
+        let timings = &mut report.timings;
 
-        // lint-ok(gated-clocks): StageTimings.detect is part of the
-        // classify_timed/classify_fused API; the clock read is the feature.
-        let t0 = std::time::Instant::now();
-        let mut det_scores: Vec<Vec<f32>> = Vec::new();
-        let detected = match scheme {
-            DefenseScheme::DetectorOnly | DefenseScheme::Full => {
-                let _span = Span::enter("magnet/detect");
-                let _stage = StageScope::enter("magnet/detect");
-                let mut combined = vec![false; n];
+        let mut detected = vec![false; x.shape().dim(0)];
+        if matches!(scheme, DefenseScheme::DetectorOnly | DefenseScheme::Full) {
+            stage(STAGE_DETECT, hook, &mut timings.detect, || {
                 for det in &self.detectors {
-                    // Inline of Detector::flags_fused, keeping the scores:
-                    // same threshold lookup, same record_scores call, same
-                    // strict `>` comparison.
-                    let threshold =
-                        det.threshold()
-                            .ok_or_else(|| crate::MagnetError::Uncalibrated {
-                                detector: det.name(),
-                            })?;
-                    let scores = det.scores_fused(x, &mut cache)?;
-                    crate::detector::record_scores(&det.name(), &scores);
-                    for (c, s) in combined.iter_mut().zip(&scores) {
-                        *c |= *s > threshold;
+                    let (scores, threshold) = scored(det.as_ref(), x, &mut cache)?;
+                    for (d, s) in detected.iter_mut().zip(&scores) {
+                        *d |= *s > threshold;
                     }
-                    det_scores.push(scores);
+                    report.scores.push(scores);
                 }
-                timings.detect = t0.elapsed();
-                combined
-            }
-            _ => vec![false; n],
-        };
+                Ok(())
+            })?;
+        }
 
-        // lint-ok(gated-clocks): StageTimings.reform is part of the
-        // classify_timed/classify_fused API; the clock read is the feature.
-        let t1 = std::time::Instant::now();
         let input = match scheme {
             DefenseScheme::ReformerOnly | DefenseScheme::Full => {
-                let _span = Span::enter("magnet/reform");
-                let _stage = StageScope::enter("magnet/reform");
-                let r = cache.reconstruction(&self.reformer, x)?;
-                timings.reform = t1.elapsed();
-                r
+                stage(STAGE_REFORM, hook, &mut timings.reform, || {
+                    cache.reconstruction(&self.reformer, x)
+                })?
             }
             _ => x.clone(),
         };
 
-        // lint-ok(gated-clocks): StageTimings.classify is part of the
-        // classify_timed/classify_fused API; the clock read is the feature.
-        let t2 = std::time::Instant::now();
-        let preds = {
-            let _span = Span::enter("magnet/classify");
-            let _stage = StageScope::enter("magnet/classify");
-            let logits = cache.logits(&self.classifier, &input)?;
-            logits.argmax_rows()?
-        };
-        timings.classify = t2.elapsed();
+        let preds = stage(STAGE_CLASSIFY, hook, &mut timings.classify, || {
+            Ok(cache.logits(&self.classifier, &input)?.argmax_rows()?)
+        })?;
 
         let verdicts: Vec<Verdict> = detected
             .into_iter()
@@ -460,7 +356,7 @@ impl MagnetDefense {
             })
             .collect();
         record_verdicts(&verdicts);
-        Ok((verdicts, det_scores, timings))
+        Ok((verdicts, report))
     }
 
     /// The paper's *classification accuracy* of the defense on a batch with
@@ -468,9 +364,17 @@ impl MagnetDefense {
     ///
     /// # Errors
     ///
-    /// Propagates pipeline errors; the label count must match the batch.
+    /// Returns [`MagnetError::InvalidArgument`] unless there is exactly one
+    /// label per batch item, and propagates pipeline errors.
     pub fn accuracy(&self, x: &Tensor, labels: &[usize], scheme: DefenseScheme) -> Result<f32> {
-        let verdicts = self.classify(x, scheme)?;
+        let n = x.shape().dim(0);
+        if labels.len() != n {
+            return Err(MagnetError::InvalidArgument(format!(
+                "{} labels for a batch of {n}",
+                labels.len()
+            )));
+        }
+        let (verdicts, _) = self.classify_batch(x, scheme)?;
         if verdicts.is_empty() {
             return Ok(0.0);
         }
@@ -480,22 +384,6 @@ impl MagnetDefense {
             .filter(|(v, &t)| v.defends(t))
             .count();
         Ok(defended as f32 / verdicts.len() as f32)
-    }
-
-    /// Shared access to the protected classifier (pipeline wrappers run the
-    /// final forward pass themselves, e.g. to inject faults between stages).
-    pub fn classifier(&self) -> &Sequential {
-        &self.classifier
-    }
-
-    /// Shared access to the reformer auto-encoder.
-    pub fn reformer(&self) -> &Autoencoder {
-        &self.reformer
-    }
-
-    /// Shared access to the deployed detectors.
-    pub fn detectors(&self) -> &[Box<dyn Detector>] {
-        &self.detectors
     }
 
     /// Mutable access to the protected classifier (for gray-box experiments).
@@ -509,29 +397,162 @@ impl MagnetDefense {
     }
 }
 
+/// `det`'s scores for `x` (through `cache`) and its calibrated threshold;
+/// an item is flagged when its score is strictly above the threshold.
+fn scored<'m>(
+    det: &'m dyn Detector,
+    x: &Tensor,
+    cache: &mut InferenceCache<'m>,
+) -> Result<(Vec<f32>, f32)> {
+    let threshold = det.threshold().ok_or_else(|| MagnetError::Uncalibrated {
+        detector: det.name(),
+    })?;
+    let scores = det.scores(x, cache)?;
+    record_scores(&det.name(), &scores);
+    Ok((scores, threshold))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch::{mnist_ae_two, mnist_classifier};
-    use crate::detector::{ReconstructionDetector, ReconstructionNorm};
+    use crate::detector::{JsdDetector, ReconstructionDetector, ReconstructionNorm};
+    use crate::jsd::jsd_rows;
     use adv_nn::loss::ReconstructionLoss;
+    use adv_nn::softmax::softmax_rows_with_temperature;
     use adv_tensor::Shape;
 
-    fn toy_defense() -> MagnetDefense {
-        let ae = Autoencoder::new(
+    /// A deployed detector's model copies, scored without a cache: the
+    /// cache-free reference the pass is checked against.
+    enum Reference {
+        /// `‖x − AE(x)‖ₚ`.
+        Recon(Autoencoder, u8),
+        /// JSD between softened logits of `x` and `AE(x)` at a temperature.
+        Jsd(Autoencoder, Sequential, f32),
+    }
+
+    impl Reference {
+        fn detector(&self) -> Box<dyn Detector> {
+            match self {
+                Reference::Recon(ae, 1) => Box::new(ReconstructionDetector::new(
+                    ae.clone(),
+                    ReconstructionNorm::L1,
+                )),
+                Reference::Recon(ae, _) => Box::new(ReconstructionDetector::new(
+                    ae.clone(),
+                    ReconstructionNorm::L2,
+                )),
+                Reference::Jsd(ae, clf, t) => {
+                    Box::new(JsdDetector::new(ae.clone(), clf.clone(), *t).unwrap())
+                }
+            }
+        }
+
+        fn scores(&self, x: &Tensor) -> Vec<f32> {
+            match self {
+                Reference::Recon(ae, p) => ae.reconstruction_errors(x, *p).unwrap(),
+                Reference::Jsd(ae, clf, t) => {
+                    let logits_x = clf.infer(x).unwrap();
+                    let logits_r = clf.infer(&ae.reconstruct(x).unwrap()).unwrap();
+                    let px = softmax_rows_with_temperature(&logits_x, *t).unwrap();
+                    let pr = softmax_rows_with_temperature(&logits_r, *t).unwrap();
+                    jsd_rows(px.as_slice(), pr.as_slice(), logits_x.shape().dim(1)).unwrap()
+                }
+            }
+        }
+    }
+
+    /// The pass with every consumer rerunning its own networks: verdicts
+    /// and per-detector scores.
+    fn reference_pass(
+        d: &MagnetDefense,
+        refs: &[Reference],
+        x: &Tensor,
+        scheme: DefenseScheme,
+    ) -> (Vec<Verdict>, Vec<Vec<f32>>) {
+        let mut detected = vec![false; x.shape().dim(0)];
+        let mut scores = Vec::new();
+        if matches!(scheme, DefenseScheme::DetectorOnly | DefenseScheme::Full) {
+            for (r, det) in refs.iter().zip(&d.detectors) {
+                let s = r.scores(x);
+                let threshold = det.threshold().unwrap();
+                for (f, v) in detected.iter_mut().zip(&s) {
+                    *f |= *v > threshold;
+                }
+                scores.push(s);
+            }
+        }
+        let input = match scheme {
+            DefenseScheme::ReformerOnly | DefenseScheme::Full => d.reformer.reconstruct(x).unwrap(),
+            _ => x.clone(),
+        };
+        let preds = d.classifier.infer(&input).unwrap().argmax_rows().unwrap();
+        let verdicts = detected
+            .into_iter()
+            .zip(preds)
+            .map(|(f, p)| {
+                if f {
+                    Verdict::Detected
+                } else {
+                    Verdict::Classified(p)
+                }
+            })
+            .collect();
+        (verdicts, scores)
+    }
+
+    fn toy_ae() -> Autoencoder {
+        Autoencoder::new(
             &mnist_ae_two(1, 3),
             ReconstructionLoss::MeanSquaredError,
             0.0,
             1,
         )
-        .unwrap();
-        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
-        let det = ReconstructionDetector::new(ae.clone(), ReconstructionNorm::L2);
-        MagnetDefense::new("toy", vec![Box::new(det)], ae, classifier)
+        .unwrap()
+    }
+
+    /// Seed 4: unlike most untrained seeds, its argmax varies across the
+    /// toy batch and differs between `x` and `AE(x)`, so verdicts show
+    /// which input the classifier stage saw.
+    fn toy_classifier() -> Sequential {
+        Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 4).unwrap()
+    }
+
+    fn assemble(name: &str, refs: &[Reference]) -> MagnetDefense {
+        let detectors = refs.iter().map(Reference::detector).collect();
+        MagnetDefense::new(name, detectors, toy_ae(), toy_classifier())
+    }
+
+    /// One L2 reconstruction detector sharing the reformer's AE.
+    fn toy_refs() -> Vec<Reference> {
+        vec![Reference::Recon(toy_ae(), 2)]
+    }
+
+    /// The paper's D+JSD redundancy pattern: one AE shared by a
+    /// reconstruction detector, two JSD detectors, and the reformer; the
+    /// JSD detectors also carry clones of the protected classifier.
+    fn jsd_refs() -> Vec<Reference> {
+        vec![
+            Reference::Recon(toy_ae(), 2),
+            Reference::Jsd(toy_ae(), toy_classifier(), 10.0),
+            Reference::Jsd(toy_ae(), toy_classifier(), 40.0),
+        ]
+    }
+
+    fn toy_defense() -> MagnetDefense {
+        assemble("toy", &toy_refs())
+    }
+
+    fn jsd_defense() -> MagnetDefense {
+        assemble("toy-d-jsd", &jsd_refs())
     }
 
     fn toy_batch(n: usize) -> Tensor {
         Tensor::from_fn(Shape::nchw(n, 1, 8, 8), |i| ((i * 7) % 11) as f32 / 11.0)
+    }
+
+    fn verdicts(d: &MagnetDefense, x: &Tensor, scheme: DefenseScheme) -> Result<Vec<Verdict>> {
+        Ok(d.classify_batch(x, scheme)?.0)
     }
 
     #[test]
@@ -545,14 +566,18 @@ mod tests {
     fn scheme_none_never_detects() {
         let d = toy_defense();
         // No calibration needed: scheme None skips detectors entirely.
-        let verdicts = d.classify(&toy_batch(4), DefenseScheme::None).unwrap();
-        assert!(verdicts.iter().all(|v| matches!(v, Verdict::Classified(_))));
+        let v = verdicts(&d, &toy_batch(4), DefenseScheme::None).unwrap();
+        assert!(v.iter().all(|v| matches!(v, Verdict::Classified(_))));
     }
 
     #[test]
     fn uncalibrated_full_scheme_errors() {
         let d = toy_defense();
-        assert!(d.classify(&toy_batch(2), DefenseScheme::Full).is_err());
+        assert!(matches!(
+            verdicts(&d, &toy_batch(2), DefenseScheme::Full),
+            Err(MagnetError::Uncalibrated { .. })
+        ));
+        assert!(d.detect(&toy_batch(2)).is_err());
     }
 
     #[test]
@@ -607,97 +632,116 @@ mod tests {
     }
 
     #[test]
-    fn labels_shorter_than_batch_are_partial() {
-        // zip() semantics: extra verdicts are ignored; documents the contract.
+    fn accuracy_rejects_mismatched_labels() {
         let d = toy_defense();
-        let acc = d
+        for labels in [&[0, 0][..], &[0, 0, 0, 0]] {
+            assert!(
+                matches!(
+                    d.accuracy(&toy_batch(3), labels, DefenseScheme::None),
+                    Err(MagnetError::InvalidArgument(_))
+                ),
+                "{} labels",
+                labels.len()
+            );
+        }
+        assert!(d
             .accuracy(&toy_batch(3), &[0, 0, 0], DefenseScheme::None)
-            .unwrap();
-        assert!((0.0..=1.0).contains(&acc));
-    }
-
-    /// A defense with the paper's D+JSD redundancy pattern: one AE shared by
-    /// a reconstruction detector, two JSD detectors, and the reformer; the
-    /// JSD detectors also carry clones of the protected classifier.
-    fn jsd_defense() -> MagnetDefense {
-        let ae = Autoencoder::new(
-            &mnist_ae_two(1, 3),
-            ReconstructionLoss::MeanSquaredError,
-            0.0,
-            1,
-        )
-        .unwrap();
-        let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 2).unwrap();
-        let detectors: Vec<Box<dyn Detector>> = vec![
-            Box::new(ReconstructionDetector::new(
-                ae.clone(),
-                ReconstructionNorm::L2,
-            )),
-            Box::new(
-                crate::detector::JsdDetector::new(ae.clone(), classifier.clone(), 10.0).unwrap(),
-            ),
-            Box::new(
-                crate::detector::JsdDetector::new(ae.clone(), classifier.clone(), 40.0).unwrap(),
-            ),
-        ];
-        MagnetDefense::new("toy-d-jsd", detectors, ae, classifier)
+            .is_ok());
     }
 
     #[test]
-    fn fused_pipeline_is_bit_identical_to_serial() {
-        for mut d in [toy_defense(), jsd_defense()] {
+    fn pass_matches_cache_free_reference_bitwise() {
+        for (name, refs) in [("toy", toy_refs()), ("toy-d-jsd", jsd_refs())] {
+            let mut d = assemble(name, &refs);
             d.calibrate_detectors(&toy_batch(64), 0.05).unwrap();
             let x = toy_batch(12);
+            assert_ne!(
+                reference_pass(&d, &refs, &x, DefenseScheme::None).0,
+                reference_pass(&d, &refs, &x, DefenseScheme::ReformerOnly).0,
+                "{name}: the classifier must tell x from AE(x)"
+            );
             for scheme in DefenseScheme::ALL {
-                let serial = d.classify(&x, scheme).unwrap();
-                let (fused, timings) = d.classify_fused(&x, scheme).unwrap();
-                assert_eq!(fused, serial, "{} {scheme:?}", d.name());
-                if scheme == DefenseScheme::Full {
-                    assert!(timings.detect > Duration::ZERO);
+                let (want, want_scores) = reference_pass(&d, &refs, &x, scheme);
+                let (got, report) = d.classify_batch(&x, scheme).unwrap();
+                assert_eq!(got, want, "{name} {scheme:?}");
+                let bits = |cols: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                    cols.iter()
+                        .map(|c| c.iter().map(|s| s.to_bits()).collect())
+                        .collect()
+                };
+                assert_eq!(
+                    bits(&report.scores),
+                    bits(&want_scores),
+                    "{name} {scheme:?}"
+                );
+                match scheme {
+                    DefenseScheme::DetectorOnly | DefenseScheme::Full => {
+                        assert_eq!(report.scores.len(), d.num_detectors());
+                        assert!(report.timings.detect > Duration::ZERO);
+                    }
+                    _ => assert!(report.scores.is_empty()),
                 }
             }
         }
     }
 
     #[test]
-    fn fused_pass_actually_deduplicates_shared_work() {
+    fn hook_sees_each_running_stage_once_in_order() {
+        let mut d = jsd_defense();
+        d.calibrate_detectors(&toy_batch(64), 0.05).unwrap();
+        let x = toy_batch(3);
+        let expected: [&[&str]; 4] = [
+            &[STAGE_CLASSIFY],
+            &[STAGE_DETECT, STAGE_CLASSIFY],
+            &[STAGE_REFORM, STAGE_CLASSIFY],
+            &[STAGE_DETECT, STAGE_REFORM, STAGE_CLASSIFY],
+        ];
+        for (scheme, want) in DefenseScheme::ALL.into_iter().zip(expected) {
+            let mut seen = Vec::new();
+            let (got, _) = d
+                .pass(&x, scheme, &mut |stage| {
+                    seen.push(stage);
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(seen, want, "{scheme:?}");
+            assert_eq!(got, verdicts(&d, &x, scheme).unwrap(), "{scheme:?}");
+        }
+        // An error from the hook fails the pass before its stage runs.
+        let mut seen = Vec::new();
+        let err = d
+            .pass(&x, DefenseScheme::Full, &mut |stage| {
+                seen.push(stage);
+                if stage == STAGE_REFORM {
+                    return Err(MagnetError::InvalidArgument("stop".into()));
+                }
+                Ok(())
+            })
+            .unwrap_err();
+        assert!(matches!(err, MagnetError::InvalidArgument(_)));
+        assert_eq!(seen, [STAGE_DETECT, STAGE_REFORM]);
+    }
+
+    #[test]
+    fn pass_actually_deduplicates_shared_work() {
         // Replay a Full pass through one cache and count network executions.
-        // Serial, this defense runs the shared AE four times (recon detector,
-        // two JSD detectors, reformer) and the classifier five times (x and
-        // AE(x) per JSD detector, plus the final pass on the reformed batch)
-        // — 9 network runs for only 3 distinct computations.
+        // Without the cache, this defense runs the shared AE four times
+        // (recon detector, two JSD detectors, reformer) and the classifier
+        // five times (x and AE(x) per JSD detector, plus the final pass on
+        // the reformed batch) — 9 network runs for only 3 distinct
+        // computations.
         let mut d = jsd_defense();
         d.calibrate_detectors(&toy_batch(64), 0.05).unwrap();
         let x = toy_batch(4);
         let mut cache = InferenceCache::new();
         for det in &d.detectors {
-            det.flags_fused(&x, &mut cache).unwrap();
+            det.scores(&x, &mut cache).unwrap();
         }
         let reformed = cache.reconstruction(&d.reformer, &x).unwrap();
         cache.logits(&d.classifier, &reformed).unwrap();
-        // Serial work: 4 AE passes + 5 classifier passes = 9 network runs.
         // Distinct: AE(x), logits(x), logits(AE(x)) = 3.
         assert_eq!(cache.misses(), 3, "distinct sub-computations");
         assert_eq!(cache.hits(), 6, "deduplicated sub-computations");
-    }
-
-    #[test]
-    fn scored_pipeline_is_bit_identical_and_exposes_scores() {
-        let mut d = jsd_defense();
-        d.calibrate_detectors(&toy_batch(64), 0.05).unwrap();
-        let x = toy_batch(6);
-        for scheme in DefenseScheme::ALL {
-            let (plain, _) = d.classify_fused(&x, scheme).unwrap();
-            let (scored, scores, _) = d.classify_fused_scored(&x, scheme).unwrap();
-            assert_eq!(scored, plain, "{scheme:?}");
-            match scheme {
-                DefenseScheme::DetectorOnly | DefenseScheme::Full => {
-                    assert_eq!(scores.len(), d.num_detectors(), "{scheme:?}");
-                    assert!(scores.iter().all(|col| col.len() == 6));
-                }
-                _ => assert!(scores.is_empty(), "{scheme:?}"),
-            }
-        }
     }
 
     #[test]

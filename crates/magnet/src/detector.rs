@@ -37,20 +37,26 @@ pub enum ReconstructionNorm {
 /// exceeds a calibrated threshold.
 ///
 /// MagNet's detection decision for an input is the OR over all deployed
-/// detectors.
+/// detectors; [`MagnetDefense`](crate::MagnetDefense) applies the
+/// thresholds.
 ///
-/// Scoring and flagging take `&self` so a calibrated detector can serve
-/// concurrent inference; only calibration mutates state.
+/// Scoring takes `&self` so a calibrated detector can serve concurrent
+/// inference; only calibration mutates state.
 pub trait Detector: Send + Sync + fmt::Debug {
     /// Human-readable detector name (appears in reports and errors).
     fn name(&self) -> String;
 
     /// Per-item anomaly scores for an NCHW batch (higher = more anomalous).
     ///
+    /// Network outputs (auto-encoder reconstructions, classifier logits)
+    /// go through `cache`, so a detector reuses what other consumers of the
+    /// same pass already computed and leaves its own for those that follow.
+    /// Pass a fresh [`InferenceCache`] to score on its own.
+    ///
     /// # Errors
     ///
     /// Returns shape errors when `x` does not match the detector's models.
-    fn scores(&self, x: &Tensor) -> Result<Vec<f32>>;
+    fn scores<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<f32>>;
 
     /// The calibrated threshold, or `None` before calibration.
     fn threshold(&self) -> Option<f32>;
@@ -66,55 +72,11 @@ pub trait Detector: Send + Sync + fmt::Debug {
     /// Propagates scoring errors and calibration errors for degenerate
     /// inputs.
     fn calibrate(&mut self, clean: &Tensor, fpr: f32) -> Result<f32> {
-        let scores = self.scores(clean)?;
+        let scores = self.scores(clean, &mut InferenceCache::new())?;
         record_scores(&self.name(), &scores);
         let t = threshold_for_fpr(&scores, fpr)?;
         self.set_threshold(t);
         Ok(t)
-    }
-
-    /// Per-item detection flags (`true` = adversarial).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MagnetError::Uncalibrated`] before calibration and
-    /// propagates scoring errors.
-    fn flags(&self, x: &Tensor) -> Result<Vec<bool>> {
-        let threshold = self.threshold().ok_or_else(|| MagnetError::Uncalibrated {
-            detector: self.name(),
-        })?;
-        let scores = self.scores(x)?;
-        record_scores(&self.name(), &scores);
-        Ok(scores.into_iter().map(|s| s > threshold).collect())
-    }
-
-    /// Like [`scores`](Self::scores), but allowed to reuse sub-computations
-    /// (auto-encoder reconstructions, classifier logits) from `cache` and to
-    /// deposit its own for detectors evaluated later in the same pass.
-    ///
-    /// Must be bit-identical to `scores`; the default ignores the cache.
-    ///
-    /// # Errors
-    ///
-    /// As [`scores`](Self::scores).
-    fn scores_fused<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<f32>> {
-        let _ = cache;
-        self.scores(x)
-    }
-
-    /// Like [`flags`](Self::flags), but via
-    /// [`scores_fused`](Self::scores_fused).
-    ///
-    /// # Errors
-    ///
-    /// As [`flags`](Self::flags).
-    fn flags_fused<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<bool>> {
-        let threshold = self.threshold().ok_or_else(|| MagnetError::Uncalibrated {
-            detector: self.name(),
-        })?;
-        let scores = self.scores_fused(x, cache)?;
-        record_scores(&self.name(), &scores);
-        Ok(scores.into_iter().map(|s| s > threshold).collect())
     }
 }
 
@@ -151,12 +113,13 @@ impl Detector for ReconstructionDetector {
         }
     }
 
-    fn scores(&self, x: &Tensor) -> Result<Vec<f32>> {
+    fn scores<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<f32>> {
         let p = match self.norm {
             ReconstructionNorm::L1 => 1,
             ReconstructionNorm::L2 => 2,
         };
-        self.ae.reconstruction_errors(x, p)
+        let recon = cache.reconstruction(&self.ae, x)?;
+        Ok(Autoencoder::errors_against(x, &recon, p))
     }
 
     fn threshold(&self) -> Option<f32> {
@@ -165,15 +128,6 @@ impl Detector for ReconstructionDetector {
 
     fn set_threshold(&mut self, threshold: f32) {
         self.threshold = Some(threshold);
-    }
-
-    fn scores_fused<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<f32>> {
-        let p = match self.norm {
-            ReconstructionNorm::L1 => 1,
-            ReconstructionNorm::L2 => 2,
-        };
-        let recon = cache.reconstruction(&self.ae, x)?;
-        Ok(Autoencoder::errors_against(x, &recon, p))
     }
 }
 
@@ -216,7 +170,7 @@ impl JsdDetector {
     }
 
     /// JSD between temperature-softened class distributions of the two logit
-    /// batches — the post-network math shared by the plain and fused paths.
+    /// batches.
     fn jsd_from_logits(&self, logits_x: &Tensor, logits_r: &Tensor) -> Result<Vec<f32>> {
         let k = logits_x.shape().dim(1);
         let px = softmax_rows_with_temperature(logits_x, self.temperature)?;
@@ -233,10 +187,10 @@ impl Detector for JsdDetector {
         format!("jsd-t{t}")
     }
 
-    fn scores(&self, x: &Tensor) -> Result<Vec<f32>> {
-        let recon = self.ae.reconstruct(x)?;
-        let logits_x = self.classifier.infer(x)?;
-        let logits_r = self.classifier.infer(&recon)?;
+    fn scores<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<f32>> {
+        let recon = cache.reconstruction(&self.ae, x)?;
+        let logits_x = cache.logits(&self.classifier, x)?;
+        let logits_r = cache.logits(&self.classifier, &recon)?;
         self.jsd_from_logits(&logits_x, &logits_r)
     }
 
@@ -246,13 +200,6 @@ impl Detector for JsdDetector {
 
     fn set_threshold(&mut self, threshold: f32) {
         self.threshold = Some(threshold);
-    }
-
-    fn scores_fused<'m>(&'m self, x: &Tensor, cache: &mut InferenceCache<'m>) -> Result<Vec<f32>> {
-        let recon = cache.reconstruction(&self.ae, x)?;
-        let logits_x = cache.logits(&self.classifier, x)?;
-        let logits_r = cache.logits(&self.classifier, &recon)?;
-        self.jsd_from_logits(&logits_x, &logits_r)
     }
 }
 
@@ -279,43 +226,40 @@ mod tests {
         })
     }
 
+    /// Scores `x` on its own, through a fresh cache.
+    fn scores(det: &dyn Detector, x: &Tensor) -> Vec<f32> {
+        det.scores(x, &mut InferenceCache::new()).unwrap()
+    }
+
     #[test]
-    fn flags_require_calibration() {
+    fn calibration_sets_the_threshold() {
         let mut det = ReconstructionDetector::new(toy_ae(), ReconstructionNorm::L2);
-        let x = toy_batch(2, 1.0);
-        assert!(matches!(
-            det.flags(&x),
-            Err(MagnetError::Uncalibrated { .. })
-        ));
-        det.calibrate(&toy_batch(32, 1.0), 0.1).unwrap();
-        assert_eq!(det.flags(&x).unwrap().len(), 2);
+        assert_eq!(det.threshold(), None);
+        let t = det.calibrate(&toy_batch(32, 1.0), 0.1).unwrap();
+        assert_eq!(det.threshold(), Some(t));
     }
 
     #[test]
     fn calibration_hits_fpr_budget() {
         let mut det = ReconstructionDetector::new(toy_ae(), ReconstructionNorm::L1);
         let clean = toy_batch(200, 1.0);
-        det.calibrate(&clean, 0.1).unwrap();
-        let flags = det.flags(&clean).unwrap();
-        let fpr = flags.iter().filter(|&&f| f).count() as f32 / flags.len() as f32;
+        let t = det.calibrate(&clean, 0.1).unwrap();
+        let flagged = scores(&det, &clean).iter().filter(|&&s| s > t).count();
+        let fpr = flagged as f32 / 200.0;
         assert!(fpr <= 0.15, "observed fpr {fpr}");
     }
 
     #[test]
     fn scores_are_nonnegative() {
         let det = ReconstructionDetector::new(toy_ae(), ReconstructionNorm::L2);
-        assert!(det
-            .scores(&toy_batch(8, 1.0))
-            .unwrap()
-            .iter()
-            .all(|&s| s >= 0.0));
+        assert!(scores(&det, &toy_batch(8, 1.0)).iter().all(|&s| s >= 0.0));
     }
 
     #[test]
     fn jsd_detector_scores_bounded() {
         let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 3).unwrap();
         let det = JsdDetector::new(toy_ae(), classifier, 10.0).unwrap();
-        let scores = det.scores(&toy_batch(6, 1.0)).unwrap();
+        let scores = scores(&det, &toy_batch(6, 1.0));
         assert_eq!(scores.len(), 6);
         assert!(scores
             .iter()
@@ -352,11 +296,11 @@ mod tests {
         });
         ae.train(&blobs, 30, 16, 0.01, 1).unwrap();
         let det = ReconstructionDetector::new(ae, ReconstructionNorm::L2);
-        let clean_mean: f32 = det.scores(&blobs).unwrap().iter().sum::<f32>() / 64.0;
+        let clean_mean: f32 = scores(&det, &blobs).iter().sum::<f32>() / 64.0;
         let noise = Tensor::from_fn(Shape::nchw(64, 1, 8, 8), |i| {
             ((i as u64).wrapping_mul(2_654_435_761) % 101) as f32 / 101.0
         });
-        let noise_mean: f32 = det.scores(&noise).unwrap().iter().sum::<f32>() / 64.0;
+        let noise_mean: f32 = scores(&det, &noise).iter().sum::<f32>() / 64.0;
         assert!(
             noise_mean > clean_mean,
             "noise {noise_mean} vs clean {clean_mean}"

@@ -321,14 +321,14 @@ mod tests {
 
     #[test]
     fn assembled_defense_classifies() {
-        use crate::defense::DefenseScheme;
+        use crate::defense::{DefensePipeline, DefenseScheme};
         let train = toy_images(48, 1, 8);
         let aes = train_mnist_autoencoders(1, &tiny_spec(), &train).unwrap();
         let classifier = Sequential::from_specs(&mnist_classifier(8, 1, 2, 4, 8, 10), 3).unwrap();
         let defense =
             assemble_mnist_defense("default", &aes, &classifier, &[], &train, 0.05).unwrap();
-        let verdicts = defense
-            .classify(&toy_images(4, 1, 8), DefenseScheme::Full)
+        let (verdicts, _) = defense
+            .classify_batch(&toy_images(4, 1, 8), DefenseScheme::Full)
             .unwrap();
         assert_eq!(verdicts.len(), 4);
     }

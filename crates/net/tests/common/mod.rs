@@ -3,7 +3,7 @@
 //! function of the input bytes) so the tests exercise the *wire* path, not
 //! inference cost.
 
-use adv_magnet::{DefensePipeline, DefenseScheme, MagnetError, StageTimings, Verdict};
+use adv_magnet::{DefensePipeline, DefenseScheme, MagnetError, PassReport, Verdict};
 use adv_tensor::{Shape, Tensor};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -40,7 +40,7 @@ impl DefensePipeline for StubPipeline {
         &self,
         x: &Tensor,
         _scheme: DefenseScheme,
-    ) -> adv_magnet::Result<(Vec<Verdict>, StageTimings)> {
+    ) -> adv_magnet::Result<(Vec<Verdict>, PassReport)> {
         if self.delay > Duration::ZERO {
             std::thread::sleep(self.delay);
         }
@@ -66,7 +66,7 @@ impl DefensePipeline for StubPipeline {
         let verdicts = (0..n)
             .map(|i| stub_verdict(&data[i * item_len..(i + 1) * item_len]))
             .collect();
-        Ok((verdicts, StageTimings::default()))
+        Ok((verdicts, PassReport::default()))
     }
 }
 

@@ -35,7 +35,7 @@ use crate::queue::{BoundedQueue, PushError};
 use crate::{DegradePolicy, EngineHealth, RestartPolicy};
 use crate::{Result, ServeError};
 use adv_chaos::FaultInjector;
-use adv_magnet::{DefensePipeline, DefenseScheme, StageTimings, Verdict};
+use adv_magnet::{DefensePipeline, DefenseScheme, PassReport, StageTimings, Verdict};
 use adv_obs::Span;
 use adv_profile::TraceId;
 use adv_tensor::Tensor;
@@ -76,9 +76,9 @@ pub struct ServeConfig {
     /// costs one branch per batch poll and nothing per request.
     pub injector: Option<Arc<FaultInjector>>,
     /// Per-response observer (e.g. a telemetry recorder). `None` (the
-    /// default) keeps the unscored pipeline path and adds nothing per
-    /// request; when set, batches run through the scored pipeline and every
-    /// served request is reported via [`ResponseObserver::on_response`].
+    /// default) adds nothing per request; when set, every served request is
+    /// reported via [`ResponseObserver::on_response`] with its detector
+    /// scores.
     pub observer: Option<Arc<dyn ResponseObserver>>,
 }
 
@@ -570,23 +570,15 @@ fn process_batch(ctx: &WorkerCtx, batch: Vec<Request>) -> WorkerExit {
                 };
                 stacked.and_then(|x| {
                     let _pipeline = Span::enter("serve/pipeline");
-                    // The fused pass memoises sub-computations shared
+                    // The defense pass memoises sub-computations shared
                     // between detectors, reformer, and classifier within
-                    // the batch; its verdicts are bit-identical to serial
-                    // classification (the equivalence tests pin this), so
-                    // batching changes throughput, not results. The scored
-                    // variant (same verdicts, detector scores kept instead
-                    // of dropped) runs only when an observer wants them.
-                    if cfg.observer.is_some() {
-                        ctx.pipeline
-                            .classify_batch_scored(&x, scheme)
-                            .map_err(|e| ServeError::Pipeline(e.to_string()))
-                    } else {
-                        ctx.pipeline
-                            .classify_batch(&x, scheme)
-                            .map(|(verdicts, timings)| (verdicts, Vec::new(), timings))
-                            .map_err(|e| ServeError::Pipeline(e.to_string()))
-                    }
+                    // the batch; its verdicts do not depend on how requests
+                    // are batched (the equivalence tests pin this), so
+                    // batching changes throughput, not results. The
+                    // detector scores it reports feed the observer.
+                    ctx.pipeline
+                        .classify_batch(&x, scheme)
+                        .map_err(|e| ServeError::Pipeline(e.to_string()))
                 })
             }));
             match run {
@@ -605,7 +597,8 @@ fn process_batch(ctx: &WorkerCtx, batch: Vec<Request>) -> WorkerExit {
         };
 
         match outcome {
-            Exec::Served((verdicts, det_scores, timings)) => {
+            Exec::Served((verdicts, report)) => {
+                let timings = report.timings;
                 if shared.breaker.on_success(role) == Some(BreakerEvent::Closed) {
                     shared.metrics.record_breaker_closed();
                     let _t = Span::enter("serve/breaker/close");
@@ -638,7 +631,8 @@ fn process_batch(ctx: &WorkerCtx, batch: Vec<Request>) -> WorkerExit {
                     if let Some(observer) = &cfg.observer {
                         // Gather this item's score across the per-detector
                         // columns; allocated only on the observed path.
-                        let scores: Vec<f32> = det_scores
+                        let scores: Vec<f32> = report
+                            .scores
                             .iter()
                             .filter_map(|col| col.get(i).copied())
                             .collect();
@@ -684,7 +678,7 @@ fn process_batch(ctx: &WorkerCtx, batch: Vec<Request>) -> WorkerExit {
 
 /// How one batch group's execution ended.
 enum Exec {
-    Served((Vec<Verdict>, Vec<Vec<f32>>, StageTimings)),
+    Served((Vec<Verdict>, PassReport)),
     Failed(ServeError),
     Panicked(String),
 }

@@ -12,8 +12,11 @@
 //!   `max_batch` or after `max_wait` — and run the shared defense through
 //!   its `&self` inference path, so one calibrated defense behind an `Arc`
 //!   serves all workers with no locking around the model.
-//! * Each [`ServeResponse`] carries the verdict plus the batch's per-stage
-//!   [`adv_magnet::StageTimings`] and queue wait; engine-wide counters
+//! * Each [`ServeResponse`] carries the verdict plus the per-stage
+//!   [`adv_magnet::StageTimings`] of its batch's defense pass (the same
+//!   [`adv_magnet::DefensePipeline::classify_batch`] pass the paper
+//!   reproduction evaluates with) and the queue wait; the pass's detector
+//!   scores go to the optional [`ResponseObserver`]. Engine-wide counters
 //!   (throughput, rejects, p50/p99 latency, queue depth) come from
 //!   [`ServeEngine::metrics`]. The counters live on a private `adv-obs`
 //!   registry, so [`ServeEngine::metrics_prometheus`] /
@@ -37,8 +40,8 @@
 //!   deterministically.
 //!
 //! Batching is exact, not approximate: a batch of `N` requests yields
-//! bit-identical verdicts to `N` serial
-//! [`adv_magnet::MagnetDefense::classify`] calls, because every per-item
+//! bit-identical verdicts to `N` one-item
+//! [`adv_magnet::DefensePipeline::classify_batch`] calls, because every per-item
 //! computation in the pipeline is independent of its batch neighbours (the
 //! equivalence tests pin this down).
 

@@ -1,11 +1,12 @@
 //! Serial/batched equivalence: the serving engine must be an exact,
-//! bit-identical stand-in for driving `MagnetDefense::classify` directly —
-//! including under concurrent submitters and during shutdown drain.
+//! bit-identical stand-in for one `classify_batch` call over the whole
+//! stacked corpus — including under concurrent submitters and during
+//! shutdown drain.
 
 use adv_magnet::arch::{mnist_ae_two, mnist_classifier};
 use adv_magnet::{
-    Autoencoder, DefenseScheme, Detector, JsdDetector, MagnetDefense, ReconstructionDetector,
-    ReconstructionNorm, Verdict,
+    Autoencoder, DefensePipeline, DefenseScheme, Detector, JsdDetector, MagnetDefense,
+    ReconstructionDetector, ReconstructionNorm, Verdict,
 };
 use adv_nn::loss::ReconstructionLoss;
 use adv_nn::Sequential;
@@ -63,9 +64,10 @@ fn corpus(n: usize, offset: usize) -> Tensor {
     })
 }
 
-/// Serial ground truth: one `classify` call over the whole stacked batch.
+/// Serial ground truth: one `classify_batch` call over the whole stacked
+/// batch.
 fn serial_verdicts(defense: &MagnetDefense, x: &Tensor, scheme: DefenseScheme) -> Vec<Verdict> {
-    defense.classify(x, scheme).unwrap()
+    defense.classify_batch(x, scheme).unwrap().0
 }
 
 #[test]

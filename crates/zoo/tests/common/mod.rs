@@ -7,7 +7,7 @@
 // uses a different subset of it.
 #![allow(dead_code)]
 
-use adv_magnet::{DefensePipeline, DefenseScheme, MagnetError, StageTimings, Verdict};
+use adv_magnet::{DefensePipeline, DefenseScheme, MagnetError, PassReport, Verdict};
 use adv_tensor::{Shape, Tensor};
 use adv_zoo::{PipelineLoader, WeightBlob};
 use std::path::PathBuf;
@@ -56,7 +56,7 @@ impl DefensePipeline for BlobPipeline {
         &self,
         x: &Tensor,
         _scheme: DefenseScheme,
-    ) -> adv_magnet::Result<(Vec<Verdict>, StageTimings)> {
+    ) -> adv_magnet::Result<(Vec<Verdict>, PassReport)> {
         match self.mode {
             MODE_ERROR => {
                 return Err(MagnetError::Stage {
@@ -73,7 +73,7 @@ impl DefensePipeline for BlobPipeline {
         let verdicts = (0..n)
             .map(|i| stub_verdict(self.seed, &data[i * item_len..(i + 1) * item_len]))
             .collect();
-        Ok((verdicts, StageTimings::default()))
+        Ok((verdicts, PassReport::default()))
     }
 }
 

@@ -9,7 +9,9 @@
 use magnet_l1::attacks::{Attack, DecisionRule, EadConfig, ElasticNetAttack};
 use magnet_l1::data::synth::mnist_like;
 use magnet_l1::magnet::variants::{train_mnist_autoencoders, TrainSpec};
-use magnet_l1::magnet::{Detector, JsdDetector, ReconstructionDetector, ReconstructionNorm};
+use magnet_l1::magnet::{
+    Detector, InferenceCache, JsdDetector, ReconstructionDetector, ReconstructionNorm,
+};
 use magnet_l1::nn::optim::Adam;
 use magnet_l1::nn::train::{fit_classifier, gather0, TrainConfig};
 use magnet_l1::nn::Sequential;
@@ -102,11 +104,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for fpr in [0.005f32, 0.01, 0.02, 0.05, 0.1] {
         for det in detectors.iter_mut() {
             let threshold = det.calibrate(valid.images(), fpr)?;
-            let flags = det.flags(&outcome.adversarial)?;
-            let rate = flags
+            let scores = det.scores(&outcome.adversarial, &mut InferenceCache::new())?;
+            let rate = scores
                 .iter()
                 .zip(&outcome.success)
-                .filter(|(&f, &s)| f && s)
+                .filter(|(&score, &s)| score > threshold && s)
                 .count() as f32
                 / outcome.success.iter().filter(|&&s| s).count().max(1) as f32;
             println!(
